@@ -1,22 +1,22 @@
-//! Batch structure fingerprints — the keys behind the two caching layers.
+//! Batch fingerprints and step deltas — the keys behind the two reuse
+//! layers of the decode-step path.
 //!
-//! Both PAT's lazy-update pack cache (§5.1, `pat_core::LazyPat`) and the
-//! serving simulator's step-simulation cache (`serving::StepSimCache`) key
-//! on *block-granularity structure*: the set of block tables, not the exact
-//! token counts. A decode step grows every active request by one token, so
-//! exact-token keys would never repeat; block structure, by contrast, is
-//! stable for `block_size` consecutive steps per request. Two flavours:
-//!
-//! * [`batch_structure_fingerprint`] hashes **raw** block ids. This is the
-//!   lazy-update key: cached packs embed real [`BlockId`]s, so a hit must
-//!   mean the physical blocks are unchanged.
-//! * [`batch_timing_fingerprint`] hashes **canonicalized** block ids
-//!   (renamed by first occurrence) plus the GPU spec identity. Simulated
-//!   timing is invariant under any block-id renaming that preserves the
-//!   sharing pattern — only *which* slices coincide matters, never the
-//!   numeric ids — so the timing cache also hits across structurally
-//!   isomorphic batches (e.g. the same requests re-admitted after a
-//!   preemption with freshly allocated blocks).
+//! * [`batch_timing_fingerprint`] keys the serving simulator's
+//!   step-simulation cache (`serving::StepSimCache`) on *block-granularity
+//!   structure*: the set of block tables, not the exact token counts. A
+//!   decode step grows every active request by one token, so exact-token
+//!   keys would never repeat; block structure, by contrast, is stable for
+//!   `block_size` consecutive steps per request. Block ids are
+//!   **canonicalized** (renamed by first occurrence) and the GPU spec
+//!   identity is mixed in: simulated timing is invariant under any block-id
+//!   renaming that preserves the sharing pattern — only *which* slices
+//!   coincide matters, never the numeric ids — so the cache also hits
+//!   across structurally isomorphic batches (e.g. the same requests
+//!   re-admitted after a preemption with freshly allocated blocks).
+//! * [`classify_step_delta`] compares a step-cache miss against the last
+//!   *planned* step by stable query id and raw block id, which is what
+//!   `pat_core::PlanState` needs to patch its maintained forest (an empty
+//!   delta is PAT's §5.1 lazy hit).
 
 use crate::batch::DecodeBatch;
 use crate::fxhash::{FxHashMap, FxHasher};
@@ -29,7 +29,7 @@ use std::hash::{Hash, Hasher};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepDelta {
     /// Same queries, same block tables; only token counts may have grown.
-    /// The previous packing applies verbatim after a token refresh.
+    /// The previous forest applies after a token-length refresh.
     Unchanged,
     /// The batch differs from its predecessor by chain-local edits only:
     /// request completions, tail-block extensions of surviving requests,
@@ -143,37 +143,11 @@ fn hash_common(batch: &DecodeBatch, h: &mut FxHasher) {
     batch.num_queries().hash(h);
 }
 
-/// Raw-id structure fingerprint of a decode batch: head configuration,
-/// dtype width, and every per-request block-id list. Token counts within
-/// the last (possibly partial) block are deliberately excluded — growing a
-/// request by one token does not change its structure until a new block is
-/// appended. This is the lazy-update cache key of §5.1.
-///
-/// ```
-/// use attn_kernel::{batch_structure_fingerprint, DecodeBatch};
-/// use attn_math::HeadConfig;
-/// use kv_cache::{BlockId, BlockTable};
-///
-/// let head = HeadConfig::new(8, 4, 32);
-/// let a = DecodeBatch::new(head, vec![BlockTable::new(vec![BlockId(0)], 10, 16)], 2);
-/// let b = DecodeBatch::new(head, vec![BlockTable::new(vec![BlockId(0)], 11, 16)], 2);
-/// let c = DecodeBatch::new(head, vec![BlockTable::new(vec![BlockId(7)], 10, 16)], 2);
-/// assert_eq!(batch_structure_fingerprint(&a), batch_structure_fingerprint(&b));
-/// assert_ne!(batch_structure_fingerprint(&a), batch_structure_fingerprint(&c));
-/// ```
-pub fn batch_structure_fingerprint(batch: &DecodeBatch) -> u64 {
-    let mut h = FxHasher::default();
-    hash_common(batch, &mut h);
-    for t in batch.tables() {
-        t.blocks().hash(&mut h);
-        TABLE_SEP.hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Canonical-id timing fingerprint: like [`batch_structure_fingerprint`]
-/// but with block ids renamed to dense indices in order of first occurrence
-/// across the batch, and the GPU spec's name mixed in. Two batches receive
+/// Canonical-id timing fingerprint of a decode batch: head configuration,
+/// dtype width, and every per-request block-id list, with block ids renamed
+/// to dense indices in order of first occurrence across the batch, and the
+/// GPU spec's name mixed in. Token counts within the last (possibly partial)
+/// block are deliberately excluded. Two batches receive
 /// the same fingerprint exactly when they are structurally isomorphic — the
 /// same head/dtype shape and the same block-sharing pattern — which is the
 /// precise invariance class of [`crate::simulate_plan`]'s timing output at
@@ -237,14 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn structure_key_tracks_raw_ids_timing_key_does_not() {
+    fn timing_key_ignores_raw_ids() {
         let spec = GpuSpec::a100_sxm4_80gb();
         let a = batch(vec![BlockTable::new(vec![BlockId(0), BlockId(1)], 32, 16)]);
         let b = batch(vec![BlockTable::new(vec![BlockId(5), BlockId(9)], 32, 16)]);
-        assert_ne!(
-            batch_structure_fingerprint(&a),
-            batch_structure_fingerprint(&b)
-        );
         assert_eq!(
             batch_timing_fingerprint(&a, &spec),
             batch_timing_fingerprint(&b, &spec)
@@ -252,29 +222,21 @@ mod tests {
     }
 
     #[test]
-    fn token_growth_within_last_block_keeps_both_keys() {
+    fn token_growth_within_last_block_keeps_the_key() {
         let spec = GpuSpec::a100_sxm4_80gb();
         let a = batch(vec![BlockTable::new(vec![BlockId(0)], 3, 16)]);
         let b = batch(vec![BlockTable::new(vec![BlockId(0)], 4, 16)]);
         assert_eq!(
-            batch_structure_fingerprint(&a),
-            batch_structure_fingerprint(&b)
-        );
-        assert_eq!(
             batch_timing_fingerprint(&a, &spec),
             batch_timing_fingerprint(&b, &spec)
         );
     }
 
     #[test]
-    fn new_block_changes_both_keys() {
+    fn new_block_changes_the_key() {
         let spec = GpuSpec::a100_sxm4_80gb();
         let a = batch(vec![BlockTable::new(vec![BlockId(0)], 16, 16)]);
         let b = batch(vec![BlockTable::new(vec![BlockId(0), BlockId(1)], 17, 16)]);
-        assert_ne!(
-            batch_structure_fingerprint(&a),
-            batch_structure_fingerprint(&b)
-        );
         assert_ne!(
             batch_timing_fingerprint(&a, &spec),
             batch_timing_fingerprint(&b, &spec)
@@ -370,10 +332,6 @@ mod tests {
             BlockTable::new(vec![BlockId(0)], 16, 16),
             BlockTable::new(vec![BlockId(1), BlockId(2)], 32, 16),
         ]);
-        assert_ne!(
-            batch_structure_fingerprint(&a),
-            batch_structure_fingerprint(&b)
-        );
         assert_ne!(
             batch_timing_fingerprint(&a, &spec),
             batch_timing_fingerprint(&b, &spec)

@@ -9,7 +9,10 @@
 //! simulated timing report under the canonical batch fingerprint
 //! ([`crate::batch_timing_fingerprint`]) plus the backend identity,
 //! so structurally identical steps skip both the pack scheduler and the
-//! event loop entirely.
+//! event loop entirely. The canonical key is coarser than the raw block
+//! ids the planner's own reuse (`pat_core::PlanState`) compares, so in this
+//! simulator the step cache *is* the §5.1 lazy-update hit: a step whose
+//! block structure is unchanged never reaches the planner.
 //!
 //! **Invalidation is structural:** any request arrival, departure,
 //! preemption, or block-table growth into a fresh block changes the
@@ -21,19 +24,18 @@
 //! granularity.
 //!
 //! The cache is bounded, per-engine, and strictly deterministic: a
-//! `BTreeMap` with sequence-number LRU eviction, capacity from the
-//! `PAT_STEP_CACHE` environment variable (default 256, minimum 1). Worker
+//! `BTreeMap` with sequence-number LRU eviction and a fixed capacity
+//! ([`DEFAULT_STEP_CACHE_CAPACITY`] entries in the serving engine). Worker
 //! threads never share a cache, so parallel fleet execution cannot affect
 //! hit patterns.
 //!
-//! This module lives in `attn-kernel` (next to the fingerprint it keys on)
-//! so that both the serving engine and the `replica-fidelity` Replay
-//! backend can share it; `serving` re-exports the public items unchanged.
+//! This module lives in `attn-kernel`, next to the fingerprint it keys on;
+//! `serving` re-exports the public items unchanged.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
 
-/// Default cache capacity when `PAT_STEP_CACHE` is unset.
+/// Capacity of a [`StepSimCache::default`] cache (the serving engine's).
 pub const DEFAULT_STEP_CACHE_CAPACITY: usize = 256;
 
 /// The memoized slice of a simulated timing report — exactly the fields the
@@ -55,8 +57,8 @@ pub struct StepSimStats {
     pub hits: u64,
     /// Decode steps that ran the full plan + sim-gpu pipeline.
     pub misses: u64,
-    /// Miss-path steps whose packing reused plan state (a frozen replay or
-    /// an incremental delta patch) instead of a scratch rebuild.
+    /// Miss-path steps whose packing reused plan state (an empty or
+    /// chain-local delta patch) instead of a scratch rebuild.
     pub plan_reuse_hits: u64,
     /// Miss-path steps that rebuilt the packing from scratch (always the
     /// case for stateless baseline backends).
@@ -136,14 +138,6 @@ impl StepSimCache {
         }
     }
 
-    /// Creates a cache sized from the `PAT_STEP_CACHE` knob (entries;
-    /// default [`DEFAULT_STEP_CACHE_CAPACITY`]).
-    pub fn from_env() -> Self {
-        let capacity =
-            sim_core::knobs::usize_knob("PAT_STEP_CACHE").unwrap_or(DEFAULT_STEP_CACHE_CAPACITY);
-        StepSimCache::new(capacity)
-    }
-
     /// Looks up a step report, counting a hit or miss and refreshing LRU
     /// recency on hit.
     pub fn get(&mut self, key: (u64, u64)) -> Option<StepSimReport> {
@@ -182,7 +176,7 @@ impl StepSimCache {
 
     /// Records how a miss-path step produced its packing (called once per
     /// step that actually invoked the planner): `true` when plan state was
-    /// reused (frozen replay or delta patch), `false` for a scratch rebuild.
+    /// reused (empty or chain-local delta), `false` for a scratch rebuild.
     pub fn note_plan(&mut self, reused: bool) {
         if reused {
             self.stats.plan_reuse_hits += 1;

@@ -3,11 +3,12 @@
 //! update mechanism the scheduler runs asynchronously; as long as its latency
 //! stays below the pre-attention window it adds no end-to-end latency.
 //!
-//! Each decode step now lands in one of three reuse classes (the three-way
+//! Each decode step lands in one of three reuse classes (the three-way
 //! split of the step columns): a *step-cache hit* replays the memoized
-//! timing and runs no planner at all; a *plan-reuse hit* missed the step
-//! cache but reused planning state (a frozen packing or an incrementally
-//! patched forest, `PAT_PLAN_CACHE`); a *cold plan* rebuilt everything from
+//! timing and runs no planner at all — this simulator's §5.1 lazy-update
+//! hit, since an unchanged block structure always hits the step cache; a
+//! *plan-reuse hit* missed the step cache but patched the maintained prefix
+//! forest (`pat_core::PlanState`); a *cold plan* rebuilt everything from
 //! scratch.
 
 use pat_bench::{banner, save_json};
@@ -23,7 +24,6 @@ struct Row {
     mean_scheduler_us: f64,
     mean_pre_attention_us: f64,
     reduction_pct: f64,
-    lazy_hit_rate: f64,
     lazy_delta_rate: f64,
     step_cache_hit_rate: f64,
     plan_reuse_hit_rate: f64,
@@ -64,7 +64,6 @@ fn main() {
                 mean_scheduler_us: mean(&sched) / 1000.0,
                 mean_pre_attention_us: mean(&pre) / 1000.0,
                 reduction_pct: (1.0 - mean(&sched) / mean(&pre)) * 100.0,
-                lazy_hit_rate: pat.stats().hit_rate(),
                 lazy_delta_rate: pat.stats().delta_rate(),
                 step_cache_hit_rate: result.step_sim.hit_rate(),
                 plan_reuse_hit_rate: result.step_sim.plan_reuse_rate(),

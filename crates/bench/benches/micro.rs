@@ -27,6 +27,10 @@ fn bench_lazy_update(c: &mut Criterion) {
     let head = HeadConfig::new(32, 8, 128);
     let gpu = GpuSpec::a100_sxm4_80gb();
     let batch = BatchSpec::new(vec![1, 4, 64], vec![2048, 512, 1024]).build(head);
+    // Stable query ids let a repeated step reuse the plan state (an empty
+    // delta); without them every plan is cold.
+    let ids = (0..batch.num_queries() as u64).collect();
+    let batch = batch.with_query_ids(ids);
     let mut group = c.benchmark_group("lazy_update");
     group.bench_function("cold_plan", |b| {
         b.iter_batched(

@@ -256,8 +256,10 @@ mod tests {
         }
 
         knobs::set_override("PAT_GPU_MODEL", Some("h100"));
+        knobs::set_override("PAT_SIM_THREADS", Some("3"));
         let json = artifact_json(&vec![1u64, 2, 3]).expect("serializes");
         knobs::set_override("PAT_GPU_MODEL", None);
+        knobs::set_override("PAT_SIM_THREADS", None);
         let overridden = knob_strings(&json);
         assert!(
             overridden
@@ -266,9 +268,7 @@ mod tests {
             "override must be captured in the artifact: {overridden:?}"
         );
         assert!(
-            overridden
-                .iter()
-                .all(|(k, _)| k != "PAT_SIM_THREADS" && k != "PAT_STEP_CACHE"),
+            overridden.iter().all(|(k, _)| k != "PAT_SIM_THREADS"),
             "perf-only knobs must not appear in artifacts: {overridden:?}"
         );
         // Non-object payloads are wrapped so the snapshot always fits.

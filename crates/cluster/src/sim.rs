@@ -13,8 +13,8 @@
 //! scratch on replica B.
 //!
 //! Replica fidelity is selectable per cluster (or per replica via
-//! [`Cluster::with_fidelities`]): exact kernel simulation, step-cache
-//! replay, or the calibrated analytical model — see the
+//! [`Cluster::with_fidelities`]): exact kernel simulation or the
+//! calibrated analytical model — see the
 //! [`replica_fidelity`] crate. The driver logic is fidelity-blind.
 //!
 //! Replicas with identical integer clocks advance in replica-index order —

@@ -132,7 +132,8 @@ impl PatBackend {
     }
 
     /// The forward-stage planning: packs → CTAs with tiles and streams.
-    /// Used directly by the lazy-update scheduler with cached packs.
+    /// Used directly by the lazy-update scheduler with packs of its
+    /// maintained forest.
     ///
     /// # Panics
     ///

@@ -1,29 +1,37 @@
 //! The lazy-update mechanism (§5.1).
 //!
 //! The pack scheduler is linear, but invoking it per transformer layer per
-//! decode step would still cost. PAT instead (1) reuses a packing across
+//! decode step would still cost. PAT instead (1) reuses planning work across
 //! continuous-batching iterations until the block-table *structure* changes
 //! (arrivals, departures, or new block assignments — growing the final
 //! partial block does not count), and (2) runs the scheduler asynchronously,
 //! overlapped with pre-attention work, so its latency is not exposed
 //! (validated in Fig. 16 / §8.7).
+//!
+//! [`LazyPat`] has one reuse mechanism, the maintained [`PlanState`]: a step
+//! whose delta against the last planned step is empty (token growth only —
+//! the §5.1 lazy hit, [`PlanReuse::Frozen`]) or chain-local
+//! ([`PlanReuse::DeltaPatched`]) re-packs the patched forest; anything else
+//! falls back to a cold rebuild. Reuse needs stable query ids
+//! ([`DecodeBatch::with_query_ids`]); batches without them always plan
+//! cold. Every path re-packs, so a plan never differs from a cold one.
 
 use crate::backend::{scheduling_cost_from_counts, PatBackend};
 use crate::packer::Pack;
-use crate::plan_state::{plan_cache_enabled, PlanReuse, PlanState};
+use crate::plan_state::{PlanReuse, PlanState};
 use crate::selector::TileError;
 use attn_kernel::{DecodeBatch, KernelPlan};
 use kv_cache::PrefixForest;
 use sim_gpu::GpuSpec;
 
-/// Cache statistics of the lazy scheduler.
+/// Plan-reuse statistics of the lazy scheduler.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LazyStats {
-    /// Plans served from cache with frozen pack decisions (structure
-    /// fingerprint hit).
+    /// Plans whose block structure was unchanged since the last planned
+    /// step (empty delta: only token counts grew) — the §5.1 lazy hit.
     pub hits: u64,
-    /// Plans re-packed from the incrementally patched forest (structure
-    /// miss classified as chain-local; no forest rebuild).
+    /// Plans re-packed from the incrementally patched forest (chain-local
+    /// delta; no forest rebuild).
     pub delta_hits: u64,
     /// Full scheduler invocations (forest rebuild + re-pack).
     pub misses: u64,
@@ -34,7 +42,7 @@ impl LazyStats {
         self.hits + self.delta_hits + self.misses
     }
 
-    /// Fraction of decode steps that reused a cached packing verbatim.
+    /// Fraction of decode steps planned with an unchanged block structure.
     pub fn hit_rate(&self) -> f64 {
         if self.total() == 0 {
             0.0
@@ -54,7 +62,7 @@ impl LazyStats {
     }
 
     /// Fraction of decode steps that avoided a scratch forest rebuild —
-    /// frozen replays plus delta patches.
+    /// unchanged-structure steps plus delta patches.
     pub fn reuse_rate(&self) -> f64 {
         if self.total() == 0 {
             0.0
@@ -64,7 +72,7 @@ impl LazyStats {
     }
 }
 
-/// A PAT scheduler with plan caching across decode steps.
+/// A PAT scheduler that reuses its planning state across decode steps.
 ///
 /// # Examples
 ///
@@ -81,7 +89,7 @@ impl LazyStats {
 /// let step = |tokens| DecodeBatch::new(head, vec![
 ///     BlockTable::new(vec![BlockId(0), BlockId(1)], tokens, 16),
 ///     BlockTable::new(vec![BlockId(0), BlockId(2)], tokens, 16),
-/// ], 2);
+/// ], 2).with_query_ids(vec![7, 8]);
 /// lazy.plan(&step(20), &spec); // miss: full packing
 /// lazy.plan(&step(21), &spec); // hit: same block structure, +1 token
 /// assert_eq!(lazy.stats().misses, 1);
@@ -90,11 +98,8 @@ impl LazyStats {
 #[derive(Debug)]
 pub struct LazyPat {
     backend: PatBackend,
-    cached: Option<(u64, Vec<Pack>)>,
     state: Option<PlanState>,
-    delta_enabled: bool,
     last_reuse: Option<PlanReuse>,
-    last_cost_ns: Option<f64>,
     stats: LazyStats,
 }
 
@@ -110,17 +115,12 @@ impl LazyPat {
         LazyPat::with_backend(PatBackend::default())
     }
 
-    /// Creates a lazy scheduler around a configured backend. Delta-planning
-    /// is governed by `PAT_PLAN_CACHE` (performance-only; plans are
-    /// identical with it on or off).
+    /// Creates a lazy scheduler around a configured backend.
     pub fn with_backend(backend: PatBackend) -> Self {
         LazyPat {
             backend,
-            cached: None,
             state: None,
-            delta_enabled: plan_cache_enabled(),
             last_reuse: None,
-            last_cost_ns: None,
             stats: LazyStats::default(),
         }
     }
@@ -131,21 +131,12 @@ impl LazyPat {
         LazyPat::with_backend(PatBackend::from_env())
     }
 
-    /// Overrides the `PAT_PLAN_CACHE` decision for this scheduler (A/B
-    /// lever for benches and tests that must not touch process-global knob
-    /// state).
-    #[must_use]
-    pub fn with_plan_cache(mut self, enabled: bool) -> Self {
-        self.delta_enabled = enabled;
-        self
-    }
-
     /// The wrapped backend.
     pub fn backend(&self) -> &PatBackend {
         &self.backend
     }
 
-    /// Cache statistics.
+    /// Plan-reuse statistics.
     pub fn stats(&self) -> LazyStats {
         self.stats
     }
@@ -156,27 +147,24 @@ impl LazyPat {
         self.last_reuse
     }
 
-    /// Whether incremental delta-planning is active on this scheduler.
-    pub fn plan_cache_active(&self) -> bool {
-        self.delta_enabled
-    }
-
-    /// CPU-side pack-scheduler cost for `batch`, reusing the forest node
-    /// count recorded by the most recent plan when the batch structure is
-    /// unchanged (the serving engine samples this immediately after
-    /// planning the same step). Bit-identical to
-    /// [`PatBackend::scheduling_cost_ns`], which rebuilds the forest to
-    /// count its nodes.
+    /// CPU-side pack-scheduler cost for `batch`, counting the nodes of the
+    /// maintained forest when `batch` has the last planned step's block
+    /// lists (the serving engine samples this immediately after planning
+    /// the same step). Bit-identical to [`PatBackend::scheduling_cost_ns`],
+    /// which rebuilds the forest to count its nodes.
     pub fn scheduling_cost_ns(&self, batch: &DecodeBatch) -> f64 {
-        match (self.last_cost_ns, &self.cached) {
-            (Some(cost), Some((key, _))) if *key == structure_fingerprint(batch) => cost,
+        match &self.state {
+            Some(state) if state.has_blocks_of(batch) => {
+                let blocks: usize = batch.tables().iter().map(|t| t.blocks().len()).sum();
+                scheduling_cost_from_counts(state.forest().num_nodes(), blocks)
+            }
             _ => self.backend.scheduling_cost_ns(batch),
         }
     }
 
-    /// Plans a decode step, reusing the cached packing when the block-table
-    /// structure is unchanged. Token counts are refreshed either way, so the
-    /// plan is always exact for the current step.
+    /// Plans a decode step, patching the maintained plan state when the
+    /// step's delta allows it. The plan always equals a cold plan of the
+    /// same batch.
     ///
     /// # Panics
     ///
@@ -191,93 +179,52 @@ impl LazyPat {
 
     /// Fallible [`LazyPat::plan`]: surfaces no-feasible-tile conditions as
     /// [`TileError`] so serving replicas can record them instead of
-    /// crashing. Cache statistics are updated either way (the pack stage
+    /// crashing. Reuse statistics are updated either way (the pack stage
     /// itself cannot fail — only tile selection can).
     pub fn try_plan(
         &mut self,
         batch: &DecodeBatch,
         spec: &GpuSpec,
     ) -> Result<KernelPlan, TileError> {
-        let key = structure_fingerprint(batch);
-        let packs = match &self.cached {
-            Some((cached_key, packs)) if *cached_key == key => {
-                self.stats.hits += 1;
-                self.last_reuse = Some(PlanReuse::Frozen);
-                // A same-structure step cannot change query identities in
-                // place, but a caller may stop attaching ids (or swap id
-                // spaces); desynchronized state must not classify later
-                // deltas.
-                if let (Some(state), Some(ids)) = (&self.state, batch.query_ids()) {
-                    if state.ids() != ids {
-                        self.state = None;
-                    }
-                }
-                let mut packs = packs.clone();
-                for p in &mut packs {
-                    p.refresh_tokens(batch.tables());
-                }
-                packs
-            }
-            _ => {
-                let packs = self.plan_packs(batch);
-                self.cached = Some((key, packs.clone()));
-                packs
-            }
-        };
+        let packs = self.plan_packs(batch);
         self.backend.try_finish_plan(batch, packs, spec)
     }
 
-    /// The structure-miss pack path: patch the maintained forest when the
-    /// step's delta is chain-local, rebuild from scratch otherwise.
+    /// Advances the maintained forest by the step's delta when it is empty
+    /// or chain-local; rebuilds from scratch otherwise.
     fn plan_packs(&mut self, batch: &DecodeBatch) -> Vec<Pack> {
         let group_size = batch.head().group_size();
-        if self.delta_enabled {
-            if let Some(mut state) = self.state.take() {
-                if state.advance(batch) {
-                    self.stats.delta_hits += 1;
-                    self.last_reuse = Some(PlanReuse::DeltaPatched);
-                    self.note_cost(state.forest(), batch);
-                    let packs = self.backend.pack_from_forest(state.forest(), group_size);
-                    self.state = Some(state);
-                    return packs;
-                }
-                // Structural step (or unpatchable edge): the state may be
-                // partially patched — drop it and re-capture below.
+        if let Some(mut state) = self.state.take() {
+            if let Some(reuse) = state.advance(batch) {
+                self.record(reuse);
+                let packs = self.backend.pack_from_forest(state.forest(), group_size);
+                self.state = Some(state);
+                return packs;
             }
+            // Structural step (or unpatchable edge): the state may be
+            // partially patched — drop it and re-capture below.
         }
-        self.stats.misses += 1;
-        self.last_reuse = Some(PlanReuse::Cold);
+        self.record(PlanReuse::Cold);
         let forest = PrefixForest::from_block_tables(batch.tables());
-        self.note_cost(&forest, batch);
         let packs = self.backend.pack_from_forest(&forest, group_size);
-        if self.delta_enabled {
-            self.state = PlanState::capture(batch, forest);
-        }
+        self.state = PlanState::capture(batch, forest);
         packs
     }
 
-    fn note_cost(&mut self, forest: &PrefixForest, batch: &DecodeBatch) {
-        let blocks: usize = batch.tables().iter().map(|t| t.blocks().len()).sum();
-        self.last_cost_ns = Some(scheduling_cost_from_counts(forest.num_nodes(), blocks));
+    fn record(&mut self, reuse: PlanReuse) {
+        match reuse {
+            PlanReuse::Frozen => self.stats.hits += 1,
+            PlanReuse::DeltaPatched => self.stats.delta_hits += 1,
+            PlanReuse::Cold => self.stats.misses += 1,
+        }
+        self.last_reuse = Some(reuse);
     }
 
-    /// Drops the cached packing and maintained plan state (e.g. on engine
-    /// reconfiguration).
+    /// Drops the maintained plan state, so the next plan is cold (e.g. on
+    /// engine reconfiguration).
     pub fn invalidate(&mut self) {
-        self.cached = None;
         self.state = None;
-        self.last_cost_ns = None;
     }
-}
-
-/// Fingerprint of the batch's block-table *structure*: block ids and query
-/// order, but not token counts (the final partial block grows every step
-/// without changing the packing). Delegates to the shared
-/// [`attn_kernel::batch_structure_fingerprint`] so the lazy-update cache
-/// and the serving layer's step-simulation cache agree on what "identical
-/// structure" means.
-pub fn structure_fingerprint(batch: &DecodeBatch) -> u64 {
-    attn_kernel::batch_structure_fingerprint(batch)
 }
 
 #[cfg(test)]
@@ -296,12 +243,19 @@ mod tests {
         DecodeBatch::new(HeadConfig::new(32, 8, 128), tables, 2)
     }
 
+    fn batch_with_ids(rows: &[(&[u32], usize)], ids: &[u64]) -> DecodeBatch {
+        batch(rows).with_query_ids(ids.to_vec())
+    }
+
     #[test]
     fn token_growth_hits_the_cache_and_stays_exact() {
         let spec = GpuSpec::a100_sxm4_80gb();
         let mut lazy = LazyPat::new();
-        let p1 = lazy.plan(&batch(&[(&[0, 1], 20), (&[0, 2], 24)]), &spec);
-        let b2 = batch(&[(&[0, 1], 21), (&[0, 2], 25)]);
+        let p1 = lazy.plan(
+            &batch_with_ids(&[(&[0, 1], 20), (&[0, 2], 24)], &[1, 2]),
+            &spec,
+        );
+        let b2 = batch_with_ids(&[(&[0, 1], 21), (&[0, 2], 25)], &[1, 2]);
         let p2 = lazy.plan(&b2, &spec);
         assert_eq!(
             lazy.stats(),
@@ -311,8 +265,10 @@ mod tests {
                 misses: 1
             }
         );
-        // Refreshed plan covers the new token counts exactly.
+        assert_eq!(lazy.last_plan_reuse(), Some(PlanReuse::Frozen));
+        // The reused plan covers the new token counts exactly.
         p2.validate(&b2).unwrap();
+        assert_eq!(p2, LazyPat::new().plan(&b2, &spec));
         let t1: usize = p1.ctas.iter().map(|c| c.kv.tokens * c.queries.len()).sum();
         let t2: usize = p2.ctas.iter().map(|c| c.kv.tokens * c.queries.len()).sum();
         assert_eq!(t2, t1 + 2);
@@ -340,23 +296,25 @@ mod tests {
     }
 
     #[test]
-    fn arrival_and_departure_invalidate() {
+    fn batches_without_ids_always_plan_cold() {
         let spec = GpuSpec::a100_sxm4_80gb();
         let mut lazy = LazyPat::new();
+        lazy.plan(&batch(&[(&[0, 1], 31), (&[0, 2], 31)]), &spec);
         lazy.plan(&batch(&[(&[0, 1], 32), (&[0, 2], 32)]), &spec);
         lazy.plan(
             &batch(&[(&[0, 1], 32), (&[0, 2], 32), (&[0, 3], 32)]),
             &spec,
         );
         lazy.plan(&batch(&[(&[0, 1], 32)]), &spec);
-        assert_eq!(lazy.stats().misses, 3);
+        assert_eq!(lazy.stats().misses, 4);
+        assert_eq!(lazy.last_plan_reuse(), Some(PlanReuse::Cold));
     }
 
     #[test]
     fn explicit_invalidation_forces_repack() {
         let spec = GpuSpec::a100_sxm4_80gb();
         let mut lazy = LazyPat::new();
-        let b = batch(&[(&[0, 1], 32), (&[0, 2], 32)]);
+        let b = batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[1, 2]);
         lazy.plan(&b, &spec);
         lazy.invalidate();
         lazy.plan(&b, &spec);
@@ -368,10 +326,6 @@ mod tests {
                 misses: 2
             }
         );
-    }
-
-    fn batch_with_ids(rows: &[(&[u32], usize)], ids: &[u64]) -> DecodeBatch {
-        batch(rows).with_query_ids(ids.to_vec())
     }
 
     #[test]
@@ -396,68 +350,31 @@ mod tests {
                 misses: 1
             }
         );
-        assert_eq!(lazy.last_plan_reuse(), Some(crate::PlanReuse::DeltaPatched));
+        assert_eq!(lazy.last_plan_reuse(), Some(PlanReuse::DeltaPatched));
         // The patched plan is identical to what a cold scheduler produces.
         assert_eq!(patched, LazyPat::new().plan(&b, &spec));
     }
 
     #[test]
-    fn disabled_plan_cache_always_rebuilds() {
+    fn id_swap_under_unchanged_blocks_plans_like_cold() {
         let spec = GpuSpec::a100_sxm4_80gb();
-        let mut lazy = LazyPat::new().with_plan_cache(false);
-        assert!(!lazy.plan_cache_active());
-        lazy.plan(
-            &batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[1, 2]),
-            &spec,
-        );
-        let b = batch_with_ids(&[(&[0, 1, 3], 33), (&[0, 2], 32)], &[1, 2]);
-        let p = lazy.plan(&b, &spec);
-        assert_eq!(
-            lazy.stats(),
-            LazyStats {
-                hits: 0,
-                delta_hits: 0,
-                misses: 2
-            }
-        );
-        assert_eq!(lazy.last_plan_reuse(), Some(crate::PlanReuse::Cold));
-        // Same plan as the delta path: the knob is performance-only.
-        let mut with_cache = LazyPat::new().with_plan_cache(true);
-        with_cache.plan(
-            &batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[1, 2]),
-            &spec,
-        );
-        assert_eq!(p, with_cache.plan(&b, &spec));
-    }
-
-    #[test]
-    fn id_swap_on_frozen_hit_drops_the_state() {
-        let spec = GpuSpec::a100_sxm4_80gb();
-        let mut lazy = LazyPat::new().with_plan_cache(true);
+        let mut lazy = LazyPat::new();
         lazy.plan(
             &batch_with_ids(&[(&[0, 1], 31), (&[0, 2], 31)], &[1, 2]),
             &spec,
         );
-        // Same structure, different identities: frozen hit, but the state
-        // must not classify later deltas against the stale ids.
-        lazy.plan(
-            &batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[3, 4]),
-            &spec,
-        );
-        assert_eq!(lazy.last_plan_reuse(), Some(crate::PlanReuse::Frozen));
-        // Chain-local-looking step now goes cold (no state to patch).
-        lazy.plan(
-            &batch_with_ids(&[(&[0, 1, 5], 33), (&[0, 2], 32)], &[3, 4]),
-            &spec,
-        );
+        // Same blocks, different identities: not an empty delta, and the
+        // plan still equals a cold one.
+        let swapped = batch_with_ids(&[(&[0, 1], 32), (&[0, 2], 32)], &[3, 4]);
         assert_eq!(
-            lazy.stats(),
-            LazyStats {
-                hits: 1,
-                delta_hits: 0,
-                misses: 2
-            }
+            lazy.plan(&swapped, &spec),
+            LazyPat::new().plan(&swapped, &spec)
         );
+        assert_ne!(lazy.last_plan_reuse(), Some(PlanReuse::Frozen));
+        // Later deltas are classified against the new identities.
+        let next = batch_with_ids(&[(&[0, 1, 5], 33), (&[0, 2], 32)], &[3, 4]);
+        assert_eq!(lazy.plan(&next, &spec), LazyPat::new().plan(&next, &spec));
+        assert_eq!(lazy.last_plan_reuse(), Some(PlanReuse::DeltaPatched));
     }
 
     #[test]
@@ -484,6 +401,11 @@ mod tests {
             lazy.scheduling_cost_ns(&b1),
             lazy.backend().scheduling_cost_ns(&b1)
         );
+        // A batch with other blocks than the last plan is costed afresh.
+        assert_eq!(
+            lazy.scheduling_cost_ns(&b0),
+            lazy.backend().scheduling_cost_ns(&b0)
+        );
     }
 
     #[test]
@@ -491,7 +413,10 @@ mod tests {
         let spec = GpuSpec::a100_sxm4_80gb();
         let mut lazy = LazyPat::new();
         for tokens in 20..30 {
-            lazy.plan(&batch(&[(&[0, 1], tokens), (&[0, 2], tokens)]), &spec);
+            lazy.plan(
+                &batch_with_ids(&[(&[0, 1], tokens), (&[0, 2], tokens)], &[1, 2]),
+                &spec,
+            );
         }
         assert!((lazy.stats().hit_rate() - 0.9).abs() < 1e-12);
     }

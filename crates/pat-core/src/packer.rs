@@ -22,26 +22,8 @@ pub struct Pack {
     pub tokens: usize,
     /// Index of `blocks[0]` within each member query's block table. Shared
     /// prefixes sit at identical indices for all sharers, so one offset
-    /// suffices; the lazy-update mechanism uses it to refresh token counts
-    /// without re-packing (§5.1).
+    /// suffices.
     pub start: usize,
-}
-
-impl Pack {
-    /// Recomputes `tokens` from the current block tables (blocks themselves
-    /// are unchanged across decode steps until the table structure changes;
-    /// only the final partial block grows).
-    pub fn refresh_tokens(&mut self, tables: &[kv_cache::BlockTable]) {
-        self.tokens = (0..self.blocks.len())
-            .map(|i| {
-                self.queries
-                    .iter()
-                    .map(|&q| tables[q].tokens_in_block(self.start + i))
-                    .min()
-                    .unwrap_or(0)
-            })
-            .sum();
-    }
 }
 
 /// Packs a decode batch with the TreeHeuristic scheduler.
@@ -294,12 +276,6 @@ mod tests {
                 }
             }
         }
-        // Refreshing tokens against the same tables is a no-op.
-        let mut refreshed = packs.clone();
-        for p in &mut refreshed {
-            p.refresh_tokens(b.tables());
-        }
-        assert_eq!(refreshed, packs);
     }
 
     #[test]

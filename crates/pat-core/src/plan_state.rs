@@ -1,19 +1,19 @@
-//! Persistent cross-step planning state — incremental delta-planning.
+//! Persistent cross-step planning state — the lazy update as a delta.
 //!
-//! The lazy-update mechanism (§5.1, [`crate::LazyPat`]) freezes a packing
-//! while the batch structure is *exactly* unchanged, but desynchronized
-//! serving traces change structure on most steps (some request crosses a
-//! block boundary, completes, or arrives), so the miss path used to rebuild
-//! the prefix forest and re-pack from scratch every time. [`PlanState`]
-//! instead keeps the forest alive across steps and *patches* it with the
-//! step's classified delta ([`attn_kernel::classify_step_delta`]):
-//! completions drop a leaf and re-collapse the orphaned chain, boundary
-//! crossings extend one query's tail run, arrivals descend and split where
-//! they diverge. The patched forest is deeply equal to a scratch rebuild —
-//! asserted in debug builds and by the delta-sequence proptests — so the
-//! re-packed plan is *identical*, not merely equivalent: profit-threshold
-//! flips (`4·s_i > l_u`) re-evaluate naturally because the TreeHeuristic
-//! runs over the maintained forest exactly as it would over a fresh one.
+//! PAT's lazy update (§5.1) reuses planning work while the batch structure
+//! is unchanged; desynchronized serving traces, though, change structure on
+//! most steps (some request crosses a block boundary, completes, or
+//! arrives). [`PlanState`] covers both cases with one mechanism: it keeps
+//! the previous step's prefix forest alive and *patches* it with the step's
+//! classified delta ([`attn_kernel::classify_step_delta`]). An empty delta
+//! (token growth only) refreshes token lengths; completions drop a leaf and
+//! re-collapse the orphaned chain, boundary crossings extend one query's
+//! tail run, arrivals descend and split where they diverge. The patched
+//! forest is deeply equal to a scratch rebuild — asserted in debug builds
+//! and by the delta-sequence proptests — so the re-packed plan is
+//! *identical*, not merely equivalent: profit-threshold flips
+//! (`4·s_i > l_u`) re-evaluate naturally because the TreeHeuristic runs
+//! over the maintained forest exactly as it would over a fresh one.
 
 use attn_kernel::{classify_step_delta, DecodeBatch, StepDelta, StepPatch};
 use attn_math::HeadConfig;
@@ -22,7 +22,8 @@ use kv_cache::{BlockTable, PrefixForest};
 /// How the most recent [`crate::LazyPat`] plan was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanReuse {
-    /// Cached packs replayed verbatim (structure-fingerprint hit).
+    /// The block structure was unchanged since the last planned step (empty
+    /// delta: only token counts grew) — the §5.1 lazy hit.
     Frozen,
     /// The maintained forest was patched by the step's delta and re-packed.
     DeltaPatched,
@@ -63,32 +64,40 @@ impl PlanState {
         &self.forest
     }
 
-    /// The stable query ids of the last captured/advanced batch.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
+    /// Whether `batch` has exactly the block lists of the last
+    /// captured/advanced batch (token counts aside), and hence the same
+    /// forest shape.
+    pub(crate) fn has_blocks_of(&self, batch: &DecodeBatch) -> bool {
+        self.tables.len() == batch.tables().len()
+            && self
+                .tables
+                .iter()
+                .zip(batch.tables())
+                .all(|(a, b)| a.blocks() == b.blocks())
     }
 
     /// Advances the state to `batch` by applying the step's classified
-    /// delta. Returns `false` when the step is structural (shape change,
-    /// row reorder, table rewrite, or an unpatchable edge such as a tail
-    /// block landing on a sibling run) — **the state is then stale or
-    /// partially patched and must be discarded and re-captured** from the
-    /// caller's scratch rebuild.
-    pub fn advance(&mut self, batch: &DecodeBatch) -> bool {
+    /// delta, returning [`PlanReuse::Frozen`] for an empty delta and
+    /// [`PlanReuse::DeltaPatched`] for a chain-local one. Returns `None`
+    /// when the step is structural (shape change, row reorder, table
+    /// rewrite, or an unpatchable edge such as a tail block landing on a
+    /// sibling run) — **the state is then stale or partially patched and
+    /// must be discarded and re-captured** from the caller's scratch
+    /// rebuild.
+    pub fn advance(&mut self, batch: &DecodeBatch) -> Option<PlanReuse> {
         if batch.head() != self.head
             || batch.dtype_bytes() != self.dtype_bytes
             || batch.tables().first().map(BlockTable::block_size)
                 != self.tables.first().map(BlockTable::block_size)
         {
-            return false;
+            return None;
         }
-        let patch = match classify_step_delta(&self.ids, &self.tables, batch) {
-            StepDelta::ChainLocal(patch) => patch,
+        let (reuse, patch) = match classify_step_delta(&self.ids, &self.tables, batch) {
+            StepDelta::ChainLocal(patch) => (PlanReuse::DeltaPatched, patch),
             // Token-only growth: the forest structure stands, only lengths
-            // move (the caller normally catches this earlier via the
-            // structure fingerprint; handling it here keeps `advance` total).
-            StepDelta::Unchanged => StepPatch::default(),
-            StepDelta::Structural => return false,
+            // move.
+            StepDelta::Unchanged => (PlanReuse::Frozen, StepPatch::default()),
+            StepDelta::Structural => return None,
         };
         // Completions first, largest previous index first, so the pending
         // removals' indices survive the renumbering of each earlier one.
@@ -100,16 +109,15 @@ impl PlanState {
         // address the renumbered forest directly.
         for &e in &patch.extended {
             if !self.forest.extend_query(e, batch.tables()) {
-                return false;
+                return None;
             }
         }
         for _ in 0..patch.arrived {
             self.forest.insert_query(batch.tables());
         }
         self.forest.refresh_token_lens(batch.tables());
-        let Some(ids) = batch.query_ids() else {
-            return false; // unreachable: classification required ids
-        };
+        // Classification required ids, so this never returns early.
+        let ids = batch.query_ids()?;
         self.ids.clear();
         self.ids.extend_from_slice(ids);
         self.tables.clear();
@@ -119,15 +127,8 @@ impl PlanState {
             PrefixForest::from_block_tables(batch.tables()),
             "patched forest diverged from a scratch rebuild"
         );
-        true
+        Some(reuse)
     }
-}
-
-/// Whether incremental delta-planning is enabled (`PAT_PLAN_CACHE`, default
-/// on). Performance-only: plans are identical either way, so the knob exists
-/// purely as an escape hatch and an A/B lever for the overhead benches.
-pub fn plan_cache_enabled() -> bool {
-    sim_core::knobs::choice("PAT_PLAN_CACHE").is_none_or(|v| v == "1")
 }
 
 #[cfg(test)]
@@ -162,9 +163,19 @@ mod tests {
             &[(&[0, 2, 5], 33), (&[9], 9), (&[20, 21], 19)],
             &[11, 12, 13],
         );
-        assert!(state.advance(&b1));
+        assert_eq!(state.advance(&b1), Some(PlanReuse::DeltaPatched));
         assert_eq!(state.forest(), &b1.forest());
-        assert_eq!(state.ids(), &[11, 12, 13]);
+        assert_eq!(state.ids, [11, 12, 13]);
+    }
+
+    #[test]
+    fn advance_reports_token_growth_as_frozen() {
+        let b0 = batch(&[(&[0, 1], 20), (&[0, 2], 24)], &[10, 11]);
+        let mut state = PlanState::capture(&b0, b0.forest()).expect("ids attached");
+        let b1 = batch(&[(&[0, 1], 21), (&[0, 2], 25)], &[10, 11]);
+        assert!(state.has_blocks_of(&b1));
+        assert_eq!(state.advance(&b1), Some(PlanReuse::Frozen));
+        assert_eq!(state.forest(), &b1.forest());
     }
 
     #[test]
@@ -173,7 +184,7 @@ mod tests {
         let mut state = PlanState::capture(&b0, b0.forest()).expect("ids attached");
         // Reordered rows are structural.
         let reordered = batch(&[(&[0, 2], 30), (&[0, 1], 32)], &[11, 10]);
-        assert!(!state.advance(&reordered));
+        assert_eq!(state.advance(&reordered), None);
     }
 
     #[test]
@@ -182,11 +193,6 @@ mod tests {
         let mut state = PlanState::capture(&b0, b0.forest()).expect("ids attached");
         let other_head = DecodeBatch::new(HeadConfig::new(16, 8, 128), vec![table(&[0, 1], 32)], 2)
             .with_query_ids(vec![10]);
-        assert!(!state.advance(&other_head));
-    }
-
-    #[test]
-    fn plan_cache_knob_defaults_on() {
-        assert!(plan_cache_enabled());
+        assert_eq!(state.advance(&other_head), None);
     }
 }

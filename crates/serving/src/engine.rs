@@ -273,7 +273,7 @@ impl ServingEngine {
             dropped: 0,
             speed_factor: 1.0,
             draining: false,
-            step_cache: StepSimCache::from_env(),
+            step_cache: StepSimCache::default(),
             scratch_tables: Vec::new(),
             scratch_ids: Vec::new(),
             scratch_finished: Vec::new(),
@@ -295,16 +295,6 @@ impl ServingEngine {
             op,
             detail: detail.to_string(),
         });
-    }
-
-    /// Replaces the step-simulation cache with one of `capacity` entries
-    /// (minimum 1), discarding any cached reports and counters.
-    ///
-    /// The default capacity comes from `PAT_STEP_CACHE` (see
-    /// [`StepSimCache::from_env`]); the `replica-fidelity` Replay backend
-    /// raises it so timing replay never evicts within a run.
-    pub fn set_step_cache_capacity(&mut self, capacity: usize) {
-        self.step_cache = StepSimCache::new(capacity);
     }
 
     /// Submits a request. Requests must be submitted in arrival order; the
@@ -1074,6 +1064,11 @@ mod tests {
         let requests = short_trace(4.0);
         let mut pat = LazyPat::new();
         let pat_result = simulate_serving(&config(), &mut pat, &requests);
+        // An unchanged block structure always hits the step cache first, so
+        // the step cache is the lazy-update hit and the planner never sees
+        // an empty delta.
+        assert!(pat_result.step_sim.hits > 0);
+        assert_eq!(pat.stats().hits, 0);
         let mut fa = Stateless(FlashAttention::new());
         let fa_result = simulate_serving(&config(), &mut fa, &requests);
         assert!(

@@ -2,11 +2,12 @@
 //! [`LazyPat`] that patches its maintained [`PlanState`] across chain-local
 //! decode steps must produce plans identical to a from-scratch planner, for
 //! arbitrary delta sequences, on every GPU model, under both tile policies —
-//! and enabling the plan cache must not change any simulated output.
+//! and reusing plan state must not change any simulated output.
 
 use pat::prelude::*;
 use pat_core::{PackingPolicy, PatConfig, PlanReuse};
 use proptest::prelude::*;
+use serving::ServingAttention;
 
 const BLOCK_SIZE: usize = 16;
 
@@ -120,7 +121,7 @@ impl Workload {
     }
 }
 
-/// Replays `ops` through a plan-cache-enabled [`LazyPat`] and a from-scratch
+/// Replays `ops` through a [`LazyPat`] and a from-scratch
 /// [`PatBackend`] with the same config, asserting plan equality every step.
 fn assert_incremental_matches_scratch(
     ops: &[DeltaOp],
@@ -129,7 +130,7 @@ fn assert_incremental_matches_scratch(
     head: HeadConfig,
 ) -> Result<(), TestCaseError> {
     let scratch = PatBackend::with_config(config);
-    let mut lazy = LazyPat::with_backend(PatBackend::with_config(config)).with_plan_cache(true);
+    let mut lazy = LazyPat::with_backend(PatBackend::with_config(config));
     let mut workload = Workload::seed();
     for (step, op) in std::iter::once(None)
         .chain(ops.iter().map(Some))
@@ -205,7 +206,7 @@ fn profit_threshold_flip_is_replanned_on_the_delta_path() {
     let head = HeadConfig::new(8, 4, 32);
     let spec = GpuSpec::a100_sxm4_80gb();
     let scratch = PatBackend::new();
-    let mut lazy = LazyPat::new().with_plan_cache(true);
+    let mut lazy = LazyPat::new();
 
     // Parent chain: block A (16 tokens). Five queries continue through B,
     // each with a private tail block; a sixth goes through C so the tree
@@ -253,10 +254,33 @@ fn profit_threshold_flip_is_replanned_on_the_delta_path() {
     );
 }
 
-/// A plan-cache-enabled controller scenario (crash, failover, autoscaling)
-/// produces byte-identical results across repeated runs, at 1 vs 4 simulation
-/// threads, and with the plan cache on vs off — incremental planning is a
-/// pure wall-clock optimization.
+/// The cold reference planner: a [`LazyPat`] that drops its plan state
+/// before every step, so each plan is a scratch rebuild.
+struct AlwaysCold(LazyPat);
+
+impl ServingAttention for AlwaysCold {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn plan_step(&mut self, batch: &DecodeBatch, spec: &GpuSpec) -> Result<KernelPlan, TileError> {
+        self.0.invalidate();
+        self.0.plan_step(batch, spec)
+    }
+
+    fn scheduling_cost_ns(&self, batch: &DecodeBatch) -> Option<f64> {
+        ServingAttention::scheduling_cost_ns(&self.0, batch)
+    }
+
+    fn last_plan_reuse(&self) -> Option<PlanReuse> {
+        self.0.last_plan_reuse()
+    }
+}
+
+/// A controller scenario (crash, failover, autoscaling) produces
+/// byte-identical results across repeated runs, at 1 vs 4 simulation
+/// threads, and with plan-state reuse vs a planner that always plans cold —
+/// incremental planning is a pure wall-clock optimization.
 #[test]
 fn controller_scenario_is_byte_identical_across_threads_and_plan_cache() {
     use controller::{
@@ -267,7 +291,7 @@ fn controller_scenario_is_byte_identical_across_threads_and_plan_cache() {
     use serving::{ModelSpec, ServingConfig};
     use workloads::{generate_trace_at, BurstyArrivals, TraceKind};
 
-    let run = || {
+    let run = |cold: bool| {
         let mut rng = StdRng::seed_from_u64(7);
         let arrivals = BurstyArrivals::new(6.0, vec![]).take_until(4.0, &mut rng);
         let trace = generate_trace_at(TraceKind::ToolAgent, &arrivals, 7);
@@ -282,26 +306,41 @@ fn controller_scenario_is_byte_identical_across_threads_and_plan_cache() {
             },
         }]);
         let router: Box<dyn Router> = Box::new(PrefixAffinity::new());
-        let result = FleetController::with_lazy_pat(config, router, faults).run(&trace);
+        let result = FleetController::new(
+            config,
+            router,
+            faults,
+            move || -> Box<dyn ServingAttention> {
+                if cold {
+                    Box::new(AlwaysCold(LazyPat::from_env()))
+                } else {
+                    Box::new(LazyPat::from_env())
+                }
+            },
+        )
+        .run(&trace);
         assert!(result.completed > 0, "scenario must exercise the fleet");
         // Debug formatting round-trips every f64 exactly, so string equality
         // is byte-identity of the full result payload.
         format!("{result:?}")
     };
 
-    let set = |name: &str, v: Option<&str>| sim_core::knobs::set_override(name, v);
+    sim_core::par::set_thread_override(Some(1));
+    let baseline = run(false);
+    assert_eq!(baseline, run(false), "double run must be byte-identical");
+    assert_eq!(
+        baseline,
+        run(true),
+        "always-cold planning must not change outputs"
+    );
 
-    set("PAT_PLAN_CACHE", Some("1"));
-    set("PAT_SIM_THREADS", Some("1"));
-    let baseline = run();
-    assert_eq!(baseline, run(), "double run must be byte-identical");
+    sim_core::par::set_thread_override(Some(4));
+    assert_eq!(
+        baseline,
+        run(false),
+        "1 vs 4 threads must be byte-identical"
+    );
+    assert_eq!(baseline, run(true), "always-cold planning at 4 threads");
 
-    set("PAT_SIM_THREADS", Some("4"));
-    assert_eq!(baseline, run(), "1 vs 4 threads must be byte-identical");
-
-    set("PAT_PLAN_CACHE", Some("0"));
-    assert_eq!(baseline, run(), "plan cache off must not change outputs");
-
-    set("PAT_PLAN_CACHE", None);
-    set("PAT_SIM_THREADS", None);
+    sim_core::par::set_thread_override(None);
 }

@@ -64,12 +64,14 @@ proptest! {
         prop_assert!(report.bandwidth_utilization <= gpu.dram_efficiency + 1e-6);
     }
 
-    /// Lazy update across simulated decode growth: cached plans refreshed
-    /// with new token counts stay valid and exact.
+    /// Lazy update across simulated decode growth: plans reused across an
+    /// empty delta (new token counts, same blocks) stay valid and exact.
     #[test]
     fn lazy_plans_stay_exact_as_decoding_progresses(spec in random_spec(), seed in 0u64..1000) {
         let head = HeadConfig::new(4, 2, 8);
         let batch0 = spec.build(head);
+        let ids: Vec<u64> = (0..batch0.num_queries() as u64).collect();
+        let batch0 = batch0.with_query_ids(ids.clone());
         let gpu = GpuSpec::a100_sxm4_80gb();
         let mut lazy = LazyPat::new();
         let _ = lazy.plan(&batch0, &gpu);
@@ -87,8 +89,9 @@ proptest! {
                 t
             })
             .collect();
-        let batch1 = DecodeBatch::new(head, tables, 2);
+        let batch1 = DecodeBatch::new(head, tables, 2).with_query_ids(ids);
         let plan = lazy.plan(&batch1, &gpu);
+        prop_assert_eq!(lazy.last_plan_reuse(), Some(pat_core::PlanReuse::Frozen));
         plan.validate(&batch1).unwrap();
         let acts = QueryActivations::synthetic(head, batch1.num_queries(), seed);
         let store = KvStore::synthetic_for(&batch1, seed ^ 0xBEEF);
