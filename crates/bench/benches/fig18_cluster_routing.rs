@@ -9,10 +9,8 @@
 //! ≥ 4 replicas, while holding dramatically less duplicated KV memory —
 //! the cross-replica analogue of PAT's within-batch prefix awareness.
 
-use cluster::{
-    Cluster, ClusterConfig, ConsistentHashPrefix, FleetRow, LeastOutstanding, PrefixAffinity,
-    RoundRobin, Router,
-};
+use cluster::{ConsistentHashPrefix, LeastOutstanding, PrefixAffinity, RoundRobin, Router};
+use controller::{ControllerConfig, FaultPlan, FleetController, FleetRow};
 use pat_bench::{banner, save_json};
 use serving::{ModelSpec, ServingConfig};
 use workloads::{generate_trace, TraceConfig, TraceKind};
@@ -34,7 +32,7 @@ fn main() {
     let model = ModelSpec::llama3_8b();
     // Build the full (trace, replicas, policy) grid up front, with one
     // shared trace per (trace, replicas) group, then fan every independent
-    // cluster simulation across the sim_core::par workers. ordered_map
+    // fault-free static fleet run across the sim_core::par workers. ordered_map
     // merges results in input order, so rows (and all printed output below)
     // are identical at any PAT_SIM_THREADS.
     let mut groups = Vec::new();
@@ -58,8 +56,9 @@ fn main() {
         let (trace, replicas, rate, ref requests) = groups[g];
         let router = policies().swap_remove(p);
         let policy = router.name();
-        let config = ClusterConfig::new(replicas, ServingConfig::single_gpu(model));
-        let result = Cluster::with_lazy_pat(&config, router).run(requests);
+        let config = ControllerConfig::static_fleet(replicas, ServingConfig::single_gpu(model));
+        let result =
+            FleetController::with_lazy_pat(config, router, FaultPlan::none()).run(requests);
         FleetRow::new(policy, trace.name(), rate, &result)
     });
     for (g, (trace, replicas, rate, _)) in groups.iter().enumerate() {

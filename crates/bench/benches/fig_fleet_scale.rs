@@ -27,7 +27,7 @@
 //! never touches the committed JSON and skips the speedup/volume assertions
 //! (tiny runs are dominated by fixed costs).
 
-use cluster::{Cluster, ClusterConfig, LeastOutstanding, RoundRobin};
+use cluster::{LeastOutstanding, RoundRobin};
 use controller::{
     window_stats, AdmissionConfig, AutoscalerConfig, ControllerConfig, FaultEvent, FaultKind,
     FaultPlan, FleetController, TransferConfig,
@@ -288,11 +288,16 @@ fn main() {
     ));
 
     let run_at = |fidelity: Fidelity| {
-        let config = ClusterConfig::new(sc.validation_replicas, engine());
+        let mut config = ControllerConfig::static_fleet(sc.validation_replicas, engine());
+        config.fidelity = fidelity;
         let t0 = Instant::now();
-        let result =
-            Cluster::with_fidelity(&config, Box::new(RoundRobin::new()), fidelity, lazy_pat)
-                .run(&trace.requests);
+        let result = FleetController::new(
+            config,
+            Box::new(RoundRobin::new()),
+            FaultPlan::none(),
+            lazy_pat,
+        )
+        .run(&trace.requests);
         (result, t0.elapsed().as_secs_f64() * 1e3)
     };
     let (exact, exact_ms) = run_at(Fidelity::Exact);

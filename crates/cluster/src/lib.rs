@@ -1,12 +1,13 @@
-//! # cluster — a multi-replica serving simulator with prefix-aware routing
+//! # cluster — prefix-aware request routing for a multi-replica fleet
 //!
-//! Scales the single-engine serving simulator (the `serving` crate) out to a
-//! fleet: N independent replicas, each with its own KV cache and attention
-//! backend, co-simulated in deterministic virtual time behind a pluggable
-//! [`Router`]. Because replicas never share KV state, the router's placement
-//! decides where prefixes stay warm — the same observation that motivates
-//! prefix-aware attention inside a replica (PAT, §3.1) applies across
-//! replicas: a request routed away from its cached prefix pays full
+//! Routing policies and the read-only replica views they decide on. A fleet
+//! is N independent replicas, each with its own KV cache and attention
+//! backend; the fleet controller (`controller::FleetController`) co-simulates
+//! them in deterministic virtual time and asks a [`Router`] where each
+//! request goes. Because replicas never share KV state, the router's
+//! placement decides where prefixes stay warm — the same observation that
+//! motivates prefix-aware attention inside a replica (PAT, §3.1) applies
+//! across replicas: a request routed away from its cached prefix pays full
 //! recomputation and duplicates KV memory.
 //!
 //! Four policies ship with the crate:
@@ -19,15 +20,19 @@
 //!   scores `overlap_tokens − α · outstanding`, falling back to least-loaded
 //!   when no replica holds a useful overlap.
 //!
-//! The driver guarantees routing cannot change what is computed — only
-//! where: any single request's decoded output is identical under every
-//! policy (a property the test suite checks), while fleet latency, per-replica
-//! cache hit rates, load balance, and cross-replica KV duplication vary.
+//! Routing cannot change what is computed — only where: any single
+//! request's decoded output is identical under every policy (a property the
+//! controller's test suite checks), while fleet latency, per-replica cache
+//! hit rates, load balance ([`load_imbalance`]), and cross-replica KV
+//! duplication ([`duplicated_blocks`], [`kv_block_bytes`]) vary.
 //!
 //! ## Example
 //!
+//! A fault-free static fleet is the plain routing study:
+//!
 //! ```no_run
-//! use cluster::{Cluster, ClusterConfig, PrefixAffinity};
+//! use cluster::PrefixAffinity;
+//! use controller::{ControllerConfig, FaultPlan, FleetController};
 //! use serving::{ModelSpec, ServingConfig};
 //! use workloads::{generate_trace, TraceConfig, TraceKind};
 //!
@@ -37,9 +42,11 @@
 //!     duration_s: 30.0,
 //!     seed: 1,
 //! });
-//! let config = ClusterConfig::new(4, ServingConfig::single_gpu(ModelSpec::llama3_8b()));
+//! let config =
+//!     ControllerConfig::static_fleet(4, ServingConfig::single_gpu(ModelSpec::llama3_8b()));
 //! let result =
-//!     Cluster::with_lazy_pat(&config, Box::new(PrefixAffinity::new())).run(&requests);
+//!     FleetController::with_lazy_pat(config, Box::new(PrefixAffinity::new()), FaultPlan::none())
+//!         .run(&requests);
 //! println!(
 //!     "fleet TPOT {:.2} ms, hit rate {:.1}%, imbalance {:.2}",
 //!     result.fleet.mean_tpot_ms,
@@ -52,14 +59,9 @@
 
 mod metrics;
 mod router;
-mod sim;
 
-pub use metrics::{
-    duplicated_blocks, kv_block_bytes, load_imbalance, ClusterResult, FleetMergeScratch, FleetRow,
-    ReplicaSummary,
-};
+pub use metrics::{duplicated_blocks, kv_block_bytes, load_imbalance};
 pub use router::{
     ConsistentHashPrefix, LeastOutstanding, PrefixAffinity, ReplicaRole, ReplicaState, ReplicaView,
     RoleScoped, RoundRobin, Router,
 };
-pub use sim::{Cluster, ClusterConfig};

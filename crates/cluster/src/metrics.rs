@@ -1,152 +1,7 @@
-//! Fleet-level metrics: aggregate latency, load balance, and the KV memory
-//! cost of prefix duplication across replicas.
+//! Fleet-level metric helpers: load balance and the KV memory cost of
+//! prefix duplication across replicas.
 
-use replica_fidelity::Fidelity;
-use serde::Serialize;
-use serving::{AggregateMetrics, ModelSpec, RequestMetrics, SimulationResult};
-use sim_core::stats::{guarded_mean, percentile_sorted};
-
-/// One replica's share of a cluster run.
-#[derive(Debug, Clone, Serialize)]
-pub struct ReplicaSummary {
-    /// Requests routed to this replica.
-    pub routed: usize,
-    /// Token-level prefix-cache hit rate of the replica's KV cache.
-    pub prefix_hit_rate: f64,
-    /// The fidelity this replica was simulated at.
-    pub fidelity: Fidelity,
-    /// The replica's full single-engine simulation result.
-    pub result: SimulationResult,
-}
-
-/// Result of one cluster simulation.
-#[derive(Debug, Clone, Serialize)]
-pub struct ClusterResult {
-    /// Per-replica summaries, indexed by replica.
-    pub per_replica: Vec<ReplicaSummary>,
-    /// Aggregate latency metrics over every completed request in the fleet.
-    pub fleet: AggregateMetrics,
-    /// Token-level prefix-cache hit rate summed over all replicas.
-    pub fleet_hit_rate: f64,
-    /// Coefficient of variation of per-replica routed-request counts
-    /// (0 = perfectly balanced).
-    pub load_imbalance: f64,
-    /// Shareable KV blocks resident on more than one replica, counted once
-    /// per extra copy.
-    pub duplicated_kv_blocks: usize,
-    /// The same duplication in bytes of KV-cache memory.
-    pub duplicated_kv_bytes: u64,
-    /// `(request id, replica)` for every routed request, in arrival order.
-    pub assignments: Vec<(u64, usize)>,
-    /// Fleet-wide unfinished requests (drain-limit drops).
-    pub unfinished: usize,
-    /// Fleet-wide recompute preemptions.
-    pub preemptions: u64,
-    /// Fleet-wide admission rejections.
-    pub dropped: u64,
-}
-
-impl ClusterResult {
-    /// Completed requests across the fleet.
-    pub fn completed(&self) -> usize {
-        self.fleet.completed
-    }
-}
-
-/// A flat, serializable row of the headline fleet metrics (what the Fig. 18
-/// bench persists per `(policy, trace, replicas)` cell).
-#[derive(Debug, Clone, Serialize)]
-pub struct FleetRow {
-    /// Routing policy name.
-    pub policy: String,
-    /// Trace name.
-    pub trace: String,
-    /// Number of replicas.
-    pub replicas: usize,
-    /// Offered load, req/s (fleet-wide).
-    pub rate_per_s: f64,
-    /// Mean time to first token, ms.
-    pub mean_ttft_ms: f64,
-    /// Mean time per output token, ms.
-    pub mean_tpot_ms: f64,
-    /// 99th-percentile TPOT, ms.
-    pub p99_tpot_ms: f64,
-    /// Fleet prefix-cache hit rate in `[0, 1]`.
-    pub fleet_hit_rate: f64,
-    /// Load-imbalance coefficient (CV of routed counts).
-    pub load_imbalance: f64,
-    /// Cross-replica duplicated KV bytes, MiB.
-    pub duplicated_kv_mib: f64,
-    /// Completed requests.
-    pub completed: usize,
-    /// Unfinished requests.
-    pub unfinished: usize,
-}
-
-impl FleetRow {
-    /// Flattens a cluster result into one bench row.
-    pub fn new(policy: &str, trace: &str, rate_per_s: f64, result: &ClusterResult) -> Self {
-        FleetRow {
-            policy: policy.to_string(),
-            trace: trace.to_string(),
-            replicas: result.per_replica.len(),
-            rate_per_s,
-            mean_ttft_ms: result.fleet.mean_ttft_ms,
-            mean_tpot_ms: result.fleet.mean_tpot_ms,
-            p99_tpot_ms: result.fleet.p99_tpot_ms,
-            fleet_hit_rate: result.fleet_hit_rate,
-            load_imbalance: result.load_imbalance,
-            duplicated_kv_mib: result.duplicated_kv_bytes as f64 / (1024.0 * 1024.0),
-            completed: result.fleet.completed,
-            unfinished: result.unfinished,
-        }
-    }
-}
-
-/// Reusable buffers for merging per-replica request records into fleet
-/// [`AggregateMetrics`]. A driver that aggregates repeatedly — per tick,
-/// per snapshot, or per cell of a bench sweep — stops allocating after the
-/// first merge; each sample vector is sorted exactly once per merge, and
-/// completion latencies (mean-only) are never sorted at all.
-#[derive(Debug, Default)]
-pub struct FleetMergeScratch {
-    ttfts: Vec<f64>,
-    tpots: Vec<f64>,
-    completions: Vec<f64>,
-}
-
-impl FleetMergeScratch {
-    /// Merges per-replica request slices into one fleet aggregate,
-    /// numerically identical to
-    /// [`AggregateMetrics::from_requests`] over their concatenation.
-    pub fn merge<'a>(
-        &mut self,
-        per_replica: impl IntoIterator<Item = &'a [RequestMetrics]>,
-    ) -> AggregateMetrics {
-        self.ttfts.clear();
-        self.tpots.clear();
-        self.completions.clear();
-        for requests in per_replica {
-            for r in requests {
-                self.ttfts.push(r.ttft_ns);
-                self.completions.push(r.completion_ns);
-                if r.decode_tokens > 1 {
-                    self.tpots.push(r.tpot_ns);
-                }
-            }
-        }
-        self.ttfts.sort_unstable_by(f64::total_cmp);
-        self.tpots.sort_unstable_by(f64::total_cmp);
-        AggregateMetrics {
-            mean_ttft_ms: guarded_mean(&self.ttfts) / 1e6,
-            p99_ttft_ms: percentile_sorted(&self.ttfts, 0.99) / 1e6,
-            mean_tpot_ms: guarded_mean(&self.tpots) / 1e6,
-            p99_tpot_ms: percentile_sorted(&self.tpots, 0.99) / 1e6,
-            mean_completion_ms: guarded_mean(&self.completions) / 1e6,
-            completed: self.ttfts.len(),
-        }
-    }
-}
+use serving::ModelSpec;
 
 /// Coefficient of variation (stddev / mean) of per-replica routed counts.
 /// Zero when perfectly balanced or when nothing was routed.
@@ -212,30 +67,6 @@ mod tests {
         assert_eq!(duplicated_blocks(&[vec![1, 2], vec![3, 4]]), 0);
         assert_eq!(duplicated_blocks(&[vec![1, 2], vec![2, 3]]), 1);
         assert_eq!(duplicated_blocks(&[vec![7], vec![7], vec![7]]), 2);
-    }
-
-    #[test]
-    fn fleet_merge_matches_from_requests_and_reuses_scratch() {
-        let rm = |id: u64, ttft: f64, tpot: f64, tokens: usize| RequestMetrics {
-            request_id: id,
-            ttft_ns: ttft,
-            tpot_ns: tpot,
-            completion_ns: ttft + tpot * tokens as f64,
-            decode_tokens: tokens,
-        };
-        let a = vec![rm(0, 1e6, 2e6, 10), rm(1, 9e6, 0.0, 1)];
-        let b = vec![rm(2, 3e6, 4e6, 10)];
-        let mut concat = a.clone();
-        concat.extend_from_slice(&b);
-        let mut scratch = FleetMergeScratch::default();
-        for _ in 0..3 {
-            let merged = scratch.merge([a.as_slice(), b.as_slice()]);
-            assert_eq!(merged, AggregateMetrics::from_requests(&concat));
-        }
-        assert_eq!(
-            scratch.merge(std::iter::empty::<&[RequestMetrics]>()),
-            AggregateMetrics::from_requests(&[])
-        );
     }
 
     #[test]

@@ -78,15 +78,6 @@ pub struct ReplicaView<'a> {
 }
 
 impl<'a> ReplicaView<'a> {
-    /// A view of a healthy replica (the fixed-fleet cluster simulator).
-    pub fn new(model: &'a dyn ReplicaModel) -> Self {
-        ReplicaView {
-            model,
-            state: ReplicaState::Healthy,
-            role: ReplicaRole::Unified,
-        }
-    }
-
     /// A view carrying an explicit lifecycle state (fleet control planes).
     pub fn with_state(model: &'a dyn ReplicaModel, state: ReplicaState) -> Self {
         ReplicaView {

@@ -1,14 +1,15 @@
-//! The fleet controller: a deterministic control plane over a set of
+//! The fleet controller: the one deterministic event loop over a set of
 //! serving-engine replicas.
 //!
-//! Wraps the same steppable [`ReplicaModel`] replicas as
-//! [`cluster::Cluster`], but adds the operational layer a real deployment
-//! needs: injected faults ([`crate::FaultPlan`]), a periodic health checker
-//! that distinguishes a replica's *actual* state from what the control plane
-//! has *observed*, failover that tears incomplete requests off a crashed
-//! replica and replays them elsewhere (paying the cold-prefix recompute
-//! cost), an SLO-aware autoscaler with graceful drain, and admission
-//! control that queues or sheds load at saturation.
+//! Drives steppable [`ReplicaModel`] replicas behind a [`cluster`] router
+//! and adds the operational layer a real deployment needs: injected faults
+//! ([`crate::FaultPlan`]), a periodic health checker that distinguishes a
+//! replica's *actual* state from what the control plane has *observed*,
+//! failover that tears incomplete requests off a crashed replica and
+//! replays them elsewhere (paying the cold-prefix recompute cost), an
+//! SLO-aware autoscaler with graceful drain, and admission control that
+//! queues or sheds load at saturation. With none of that configured and no
+//! faults, it is the plain routing study.
 //!
 //! Everything runs on the shared [`sim_core`] spine: virtual time is
 //! integer nanoseconds ([`SimTime`]), and the run is driven by a single
@@ -20,8 +21,11 @@
 //! `(config, router, fault plan, trace)` down to the bit.
 
 use crate::faults::{FaultEvent, FaultKind, FaultPlan};
-use crate::metrics::{ControlEvent, ControlResult, TimelineEvent};
-use cluster::{kv_block_bytes, ReplicaRole, ReplicaState, ReplicaView, Router};
+use crate::metrics::{ControlResult, FleetEvent, FleetEventKind};
+use cluster::{
+    duplicated_blocks, kv_block_bytes, load_imbalance, ReplicaRole, ReplicaState, ReplicaView,
+    Router,
+};
 use kv_transfer::{FleetTopology, TransferKind, TransferPlane};
 use pat_core::LazyPat;
 use replica_fidelity::{fidelity_from_env, new_replica, Fidelity, ReplicaModel};
@@ -293,10 +297,14 @@ struct Replica {
     /// Cursor into `model.completed_requests()` for incremental
     /// observation of completions.
     completed_seen: usize,
-    /// Per-request records of previous incarnations (pre-crash engines and
-    /// pre-switch fidelities).
+    /// Engine submissions made to this slot (the load-balance signal).
+    routed: usize,
+    /// Per-request records and counters of previous incarnations
+    /// (pre-crash engines and pre-switch fidelities).
     archived: Vec<RequestMetrics>,
     archived_preemptions: u64,
+    archived_hit_tokens: u64,
+    archived_miss_tokens: u64,
 }
 
 impl Replica {
@@ -314,8 +322,11 @@ impl Replica {
             restore_speed_at: None,
             limbo: Vec::new(),
             completed_seen: 0,
+            routed: 0,
             archived: Vec::new(),
             archived_preemptions: 0,
+            archived_hit_tokens: 0,
+            archived_miss_tokens: 0,
         }
     }
 
@@ -331,13 +342,28 @@ impl Replica {
         r.restart_at = Some(ready);
         r
     }
+
+    /// Swaps in `fresh`, archiving the old incarnation's records and
+    /// counters, and returns the old one's incomplete requests.
+    fn reincarnate(&mut self, fresh: Box<dyn ReplicaModel>) -> Vec<Request> {
+        let incomplete = self.model.take_incomplete();
+        let old = std::mem::replace(&mut self.model, fresh);
+        let (hit, miss) = old.cache_hit_miss_tokens();
+        self.archived_hit_tokens += hit;
+        self.archived_miss_tokens += miss;
+        let res = old.into_result();
+        self.archived.extend(res.per_request);
+        self.archived_preemptions += res.preemptions;
+        self.completed_seen = 0;
+        incomplete
+    }
 }
 
 /// What the control plane's event queue schedules. Restart and
 /// restore-speed entries are wake-ups: the authoritative due-times live on
 /// the replica (`restart_at` / `restore_speed_at`), so a superseded entry
 /// pops as a harmless no-op.
-enum FleetEvent {
+enum Wakeup {
     /// Index into the fault schedule.
     Fault(usize),
     /// A crashed or provisioning replica comes up.
@@ -484,7 +510,6 @@ impl FleetController {
             shed_ids: Vec::new(),
             lost_ids: Vec::new(),
             events: Vec::new(),
-            timeline: Vec::new(),
             ttft_window: VecDeque::new(),
             failovers: 0,
             refilled_cold: 0,
@@ -515,7 +540,7 @@ struct Sim {
     now: SimTime,
     /// The event queue driving the run: arrivals, faults, restarts, speed
     /// restorations, and (while the fleet has work) health ticks.
-    queue: EventQueue<FleetEvent>,
+    queue: EventQueue<Wakeup>,
     /// Original arrival of every offered request.
     origin: BTreeMap<u64, SimTime>,
     /// Latest engine-submission instant per request. Completion metrics
@@ -528,8 +553,7 @@ struct Sim {
     orphans: Vec<Request>,
     shed_ids: Vec<u64>,
     lost_ids: Vec<u64>,
-    events: Vec<ControlEvent>,
-    timeline: Vec<TimelineEvent>,
+    events: Vec<FleetEvent>,
     /// Rolling corrected TTFTs (ms) of recent completions.
     ttft_window: VecDeque<f64>,
     failovers: usize,
@@ -574,12 +598,12 @@ impl Sim {
         for (idx, request) in requests.iter().enumerate() {
             self.queue.push(
                 SimTime::from_secs_f64(request.arrival_s),
-                FleetEvent::Arrival(idx),
+                Wakeup::Arrival(idx),
             );
         }
         for (i, fault) in schedule.iter().enumerate() {
             self.queue
-                .push(SimTime::from_secs_f64(fault.at_s), FleetEvent::Fault(i));
+                .push(SimTime::from_secs_f64(fault.at_s), Wakeup::Fault(i));
         }
 
         while let Some((t, first)) = self.queue.pop() {
@@ -599,7 +623,7 @@ impl Sim {
                 self.advance_all(t);
                 self.now = t;
                 for event in &batch {
-                    if let FleetEvent::TransferDone(id) = event {
+                    if let Wakeup::TransferDone(id) = event {
                         self.finish_transfer(*id);
                     }
                 }
@@ -609,13 +633,13 @@ impl Sim {
             // touching the clock — the due-time stays in `next_tick` and
             // fires at the next real event instead, exactly as if the grid
             // had never been armed.
-            if !self.has_work() && batch.iter().all(|e| matches!(e, FleetEvent::Tick)) {
+            if !self.has_work() && batch.iter().all(|e| matches!(e, Wakeup::Tick)) {
                 continue;
             }
             self.advance_all(t);
             self.now = t;
             for event in &batch {
-                if let FleetEvent::Fault(i) = event {
+                if let Wakeup::Fault(i) = event {
                     self.apply_fault(&schedule[*i]);
                 }
             }
@@ -631,7 +655,7 @@ impl Sim {
                 }
             }
             for event in &batch {
-                if let FleetEvent::TransferDone(id) = event {
+                if let Wakeup::TransferDone(id) = event {
                     self.finish_transfer(*id);
                 }
             }
@@ -642,12 +666,12 @@ impl Sim {
                 }
             }
             for event in &batch {
-                if let FleetEvent::Arrival(idx) = event {
+                if let Wakeup::Arrival(idx) = event {
                     self.offer(requests[*idx].clone());
                 }
             }
             if self.has_work() && tick_armed != Some(next_tick) {
-                self.queue.push(next_tick, FleetEvent::Tick);
+                self.queue.push(next_tick, Wakeup::Tick);
                 tick_armed = Some(next_tick);
             }
         }
@@ -679,9 +703,22 @@ impl Sim {
     }
 
     fn finish(mut self, requests: &[Request]) -> ControlResult {
+        // Cache-level fleet metrics over the final models, read before
+        // finalization consumes them.
+        let block_bytes = kv_block_bytes(&self.config.engine.model, self.block_size());
+        let resident: Vec<Vec<u64>> = self
+            .replicas
+            .iter()
+            .map(|r| r.model.resident_block_hashes())
+            .collect();
+        let duplicated_kv_blocks = duplicated_blocks(&resident);
+        let routed: Vec<usize> = self.replicas.iter().map(|r| r.routed).collect();
         let mut all: Vec<RequestMetrics> = Vec::new();
-        let mut preemptions = 0u64;
+        let (mut preemptions, mut hit_tokens, mut miss_tokens) = (0u64, 0u64, 0u64);
         for r in self.replicas {
+            let (hit, miss) = r.model.cache_hit_miss_tokens();
+            hit_tokens += r.archived_hit_tokens + hit;
+            miss_tokens += r.archived_miss_tokens + miss;
             all.extend(r.archived);
             preemptions += r.archived_preemptions;
             let res = r.model.into_result();
@@ -745,8 +782,15 @@ impl Sim {
             fidelity_switches: self.fidelity_switches,
             peak_replicas: self.peak_replicas,
             preemptions,
+            fleet_hit_rate: if hit_tokens + miss_tokens == 0 {
+                0.0
+            } else {
+                hit_tokens as f64 / (hit_tokens + miss_tokens) as f64
+            },
+            load_imbalance: load_imbalance(&routed),
+            duplicated_kv_blocks,
+            duplicated_kv_bytes: duplicated_kv_blocks as u64 * block_bytes,
             events: self.events,
-            timeline: self.timeline,
             shed_ids: self.shed_ids,
             lost_ids: self.lost_ids,
         }
@@ -754,26 +798,18 @@ impl Sim {
 
     // ------------------------------------------------------------- plumbing
 
-    fn event(&mut self, what: String) {
-        self.events.push(ControlEvent {
-            t_s: self.now.as_secs_f64(),
-            what,
-        });
+    /// Logs an instant event concerning replica `i`.
+    fn log(&mut self, i: usize, kind: FleetEventKind) {
+        self.log_span(Some(i), 0, kind);
     }
 
-    /// Records a structured timeline entry at the current instant.
-    fn mark(&mut self, kind: &str, replica: Option<usize>) {
-        self.mark_span(kind, replica, 0);
-    }
-
-    /// Records a timeline span starting now and lasting `dur_ns`
-    /// (`0` = instant event).
-    fn mark_span(&mut self, kind: &str, replica: Option<usize>, dur_ns: u64) {
-        self.timeline.push(TimelineEvent {
+    /// Logs an event starting now and lasting `dur_ns` (`0` = instant).
+    fn log_span(&mut self, replica: Option<usize>, dur_ns: u64, kind: FleetEventKind) {
+        self.events.push(FleetEvent {
             t_ns: self.now.as_ns(),
-            kind: kind.to_string(),
             replica,
             dur_ns,
+            kind,
         });
     }
 
@@ -1026,17 +1062,18 @@ impl Sim {
             None => return Some(req),
         };
         self.queue
-            .push(transfer.finish, FleetEvent::TransferDone(transfer.id));
+            .push(transfer.finish, Wakeup::TransferDone(transfer.id));
         let dur = transfer.finish.saturating_sub(self.now).as_ns();
-        let req_id = req.id;
+        let kind = FleetEventKind::Migrate {
+            donor,
+            tokens: gain,
+            request: req.id,
+        };
         self.pending_transfers.insert(
             transfer.id,
             PendingTransfer::Migration { req, donor_overlap },
         );
-        self.mark_span("transfer", Some(target), dur);
-        self.event(format!(
-            "migrate {gain} warm prefix tokens r{donor} -> r{target} for request {req_id}"
-        ));
+        self.log_span(Some(target), dur, kind);
         None
     }
 
@@ -1103,15 +1140,16 @@ impl Sim {
             }
         };
         self.queue
-            .push(transfer.finish, FleetEvent::TransferDone(transfer.id));
+            .push(transfer.finish, Wakeup::TransferDone(transfer.id));
         let dur = transfer.finish.saturating_sub(self.now).as_ns();
-        let req_id = req.id;
+        let kind = FleetEventKind::Handoff {
+            src,
+            tokens: aligned,
+            request: req.id,
+        };
         self.pending_transfers
             .insert(transfer.id, PendingTransfer::Handoff { req });
-        self.mark_span("transfer", Some(target), dur);
-        self.event(format!(
-            "handoff {aligned} prefill tokens r{src} -> r{target} for request {req_id}"
-        ));
+        self.log_span(Some(target), dur, kind);
     }
 
     /// A transfer's last byte arrived: ingest at the destination and release
@@ -1130,19 +1168,15 @@ impl Sim {
         if !alive {
             // The destination died (or started draining) while bytes were
             // in flight; the payload is lost with it.
-            self.mark("transfer-lost", Some(dst));
-            match pending {
+            let held = match pending {
                 PendingTransfer::Migration { req, .. } | PendingTransfer::Handoff { req } => {
-                    self.event(format!(
-                        "transfer to replica {dst} lost; request {} back to orphans",
-                        req.id
-                    ));
-                    self.orphans.push(req);
+                    Some(req)
                 }
-                PendingTransfer::Prewarm { .. } => {
-                    self.event(format!("prewarm transfer to replica {dst} lost"));
-                }
-            }
+                PendingTransfer::Prewarm { .. } => None,
+            };
+            let request = held.as_ref().map(|req| req.id);
+            self.log(dst, FleetEventKind::TransferLost { request });
+            self.orphans.extend(held);
             return;
         }
         match pending {
@@ -1161,33 +1195,39 @@ impl Sim {
                 self.migrations += 1;
                 self.migrated_prefix_tokens += report.imported_tokens as u64;
                 self.refilled_after_partial_migration += refill as u64;
-                self.mark("migrate-ingest", Some(dst));
-                self.event(format!(
-                    "replica {dst} ingested {} migrated tokens; request {} resumes ({refill} to refill)",
-                    report.imported_tokens, req.id
-                ));
+                self.log(
+                    dst,
+                    FleetEventKind::MigrateIngest {
+                        imported: report.imported_tokens,
+                        request: req.id,
+                        refill,
+                    },
+                );
                 self.submit_to(dst, req);
             }
             PendingTransfer::Prewarm { tokens } => {
                 let report = self.replicas[dst].model.ingest_prefix(&tokens);
                 self.prewarm_transfers += 1;
                 self.migrated_prefix_tokens += report.imported_tokens as u64;
-                self.mark("prewarm-ingest", Some(dst));
-                self.event(format!(
-                    "replica {dst} prewarmed with {} tokens",
-                    report.imported_tokens
-                ));
+                self.log(
+                    dst,
+                    FleetEventKind::PrewarmIngest {
+                        imported: report.imported_tokens,
+                    },
+                );
             }
             PendingTransfer::Handoff { req } => {
                 let tokens = req.prompt.to_tokens();
                 let report = self.replicas[dst].model.ingest_prefix(&tokens);
                 self.disagg_handoffs += 1;
                 self.migrated_prefix_tokens += report.imported_tokens as u64;
-                self.mark("handoff-ingest", Some(dst));
-                self.event(format!(
-                    "replica {dst} ingested {} handoff tokens; request {} enters decode",
-                    report.imported_tokens, req.id
-                ));
+                self.log(
+                    dst,
+                    FleetEventKind::HandoffIngest {
+                        imported: report.imported_tokens,
+                        request: req.id,
+                    },
+                );
                 self.submit_to(dst, req);
             }
         }
@@ -1234,7 +1274,7 @@ impl Sim {
             None => return,
         };
         self.queue
-            .push(transfer.finish, FleetEvent::TransferDone(transfer.id));
+            .push(transfer.finish, Wakeup::TransferDone(transfer.id));
         let dur = transfer.finish.saturating_sub(self.now).as_ns();
         self.pending_transfers.insert(
             transfer.id,
@@ -1242,8 +1282,14 @@ impl Sim {
                 tokens: tokens[..overlap].to_vec(),
             },
         );
-        self.mark_span("transfer", Some(dst), dur);
-        self.event(format!("prewarm {overlap} tokens r{donor} -> r{dst}"));
+        self.log_span(
+            Some(dst),
+            dur,
+            FleetEventKind::Prewarm {
+                donor,
+                tokens: overlap,
+            },
+        );
     }
 
     fn submit_to(&mut self, i: usize, mut req: Request) {
@@ -1252,6 +1298,7 @@ impl Sim {
         // `self.now`.
         req.arrival_s = self.now.as_secs_f64();
         self.submit.insert(req.id, self.now);
+        self.replicas[i].routed += 1;
         self.replicas[i].model.submit(req);
     }
 
@@ -1341,16 +1388,11 @@ impl Sim {
                 // Tear out everything incomplete, then swap in a cold
                 // model: the KV cache and all in-flight decode state die
                 // with the process.
-                let incomplete = r.model.take_incomplete();
-                let dead = std::mem::replace(&mut r.model, fresh);
-                let res = dead.into_result();
-                r.archived.extend(res.per_request);
-                r.archived_preemptions += res.preemptions;
-                r.completed_seen = 0;
+                let incomplete = r.reincarnate(fresh);
                 r.actual = ReplicaState::Dead;
                 r.restart_at = restart_at;
                 r.restore_speed_at = None;
-                let torn = incomplete.len();
+                let in_flight = incomplete.len();
                 if failover {
                     // Held as limbo until the health checker notices the
                     // crash; then rerouted.
@@ -1359,12 +1401,9 @@ impl Sim {
                     self.lost_ids.extend(incomplete.iter().map(|q| q.id));
                 }
                 if let Some(at) = restart_at {
-                    self.queue.push(at, FleetEvent::Restart);
+                    self.queue.push(at, Wakeup::Restart);
                 }
-                self.event(format!(
-                    "crash replica {replica} ({torn} requests in flight)"
-                ));
-                self.mark("crash", Some(replica));
+                self.log(replica, FleetEventKind::Crash { in_flight });
             }
             FaultKind::Slowdown {
                 replica,
@@ -1383,9 +1422,8 @@ impl Sim {
                     r.actual = ReplicaState::Degraded;
                 }
                 r.restore_speed_at = Some(restore_at);
-                self.queue.push(restore_at, FleetEvent::RestoreSpeed);
-                self.event(format!("slowdown replica {replica} to {factor}x"));
-                self.mark("slowdown", Some(replica));
+                self.queue.push(restore_at, Wakeup::RestoreSpeed);
+                self.log(replica, FleetEventKind::Slowdown { factor });
             }
         }
     }
@@ -1394,8 +1432,7 @@ impl Sim {
         self.replicas[i].restart_at = None;
         self.replicas[i].actual = ReplicaState::Healthy;
         self.replicas[i].observed = ReplicaState::Healthy;
-        self.event(format!("replica {i} up (cold cache)"));
-        self.mark("revive", Some(i));
+        self.log(i, FleetEventKind::Revive);
         let limbo = std::mem::take(&mut self.replicas[i].limbo);
         if self.config.failover {
             // Anything still in limbo reroutes at the next tick.
@@ -1418,8 +1455,7 @@ impl Sim {
         if r.actual == ReplicaState::Degraded {
             r.actual = ReplicaState::Healthy;
         }
-        self.event(format!("replica {i} speed restored"));
-        self.mark("restore-speed", Some(i));
+        self.log(i, FleetEventKind::RestoreSpeed);
     }
 
     // ---------------------------------------------------------- the tick
@@ -1428,7 +1464,7 @@ impl Sim {
     /// changes, fail over orphans, admit queued work, autoscale, retire
     /// drained replicas.
     fn tick(&mut self) {
-        self.mark("tick", None);
+        self.log_span(None, 0, FleetEventKind::Tick);
         self.observe_completions();
         if self.config.health_checks {
             self.detect();
@@ -1485,17 +1521,11 @@ impl Sim {
         let fresh = new_replica(to, &self.config.engine, (self.backend_factory)());
         let r = &mut self.replicas[i];
         let speed = r.model.speed_factor();
-        let incomplete = r.model.take_incomplete();
-        let old = std::mem::replace(&mut r.model, fresh);
-        let from = old.fidelity();
-        let res = old.into_result();
-        r.archived.extend(res.per_request);
-        r.archived_preemptions += res.preemptions;
-        r.completed_seen = 0;
+        let from = r.model.fidelity();
+        let incomplete = r.reincarnate(fresh);
         r.model.set_speed_factor(speed);
         self.fidelity_switches += 1;
-        self.event(format!("replica {i} fidelity {from:?} -> {to:?}"));
-        self.mark("fidelity-switch", Some(i));
+        self.log(i, FleetEventKind::FidelitySwitch { from, to });
         for req in incomplete {
             self.submit_to(i, req);
         }
@@ -1548,11 +1578,12 @@ impl Sim {
         }
         for i in detected {
             let limbo = std::mem::take(&mut self.replicas[i].limbo);
-            self.event(format!(
-                "detected crash of replica {i} ({} stranded)",
-                limbo.len()
-            ));
-            self.mark("detect", Some(i));
+            self.log(
+                i,
+                FleetEventKind::Detect {
+                    stranded: limbo.len(),
+                },
+            );
             if failover {
                 self.orphans.extend(limbo);
             } else {
@@ -1600,13 +1631,16 @@ impl Sim {
             }
             self.replicas.push(grown);
             let new_index = self.replicas.len() - 1;
-            self.queue.push(ready, FleetEvent::Restart);
+            self.queue.push(ready, Wakeup::Restart);
             self.scale_ups += 1;
             self.cooldown_until = self.now + SimDuration::from_secs_f64(a.cooldown_s);
-            self.event(format!(
-                "scale-up: provisioning replica {new_index} (mean load {mean_out:.1}, rolling TTFT {rolling_ttft_ms:.0} ms)"
-            ));
-            self.mark("scale-up", Some(new_index));
+            self.log(
+                new_index,
+                FleetEventKind::ScaleUp {
+                    mean_load: mean_out,
+                    rolling_ttft_ms,
+                },
+            );
             return;
         }
         let want_down = mean_out < a.scale_down_outstanding
@@ -1630,8 +1664,7 @@ impl Sim {
                 r.observed = ReplicaState::Draining;
                 self.scale_downs += 1;
                 self.cooldown_until = self.now + SimDuration::from_secs_f64(a.cooldown_s);
-                self.event(format!("scale-down: draining replica {victim}"));
-                self.mark("scale-down", Some(victim));
+                self.log(victim, FleetEventKind::ScaleDown);
             }
         }
     }
@@ -1643,8 +1676,7 @@ impl Sim {
             if r.actual == ReplicaState::Draining && r.model.outstanding() == 0 {
                 r.actual = ReplicaState::Dead;
                 r.observed = ReplicaState::Dead;
-                self.event(format!("retired replica {i}"));
-                self.mark("retire", Some(i));
+                self.log(i, FleetEventKind::Retire);
             }
         }
     }

@@ -1,11 +1,16 @@
 //! # controller — a fault-injecting fleet control plane
 //!
-//! The operational layer above the [`cluster`] simulator: where `cluster`
-//! answers *"which replica should serve this request?"*, this crate answers
-//! *"what happens to the fleet when things go wrong?"* It drives the same
-//! steppable [`replica_fidelity::ReplicaModel`] replicas through injected
-//! crashes and slowdowns, and supplies the machinery a production
-//! deployment uses to survive them:
+//! The one fleet simulator. Where the [`cluster`] routers answer *"which
+//! replica should serve this request?"*, this crate runs the fleet: it
+//! co-simulates steppable [`replica_fidelity::ReplicaModel`] replicas on one
+//! deterministic event queue, routes every arrival through a
+//! [`cluster::Router`], and reports fleet latency, prefix-cache hit rate,
+//! load balance and cross-replica KV duplication
+//! ([`ControlResult`], [`FleetRow`]). A fault-free
+//! [`ControllerConfig::static_fleet`] is the plain routing study. On top of
+//! that it answers *"what happens to the fleet when things go wrong?"*: it
+//! drives the replicas through injected crashes and slowdowns, and supplies
+//! the machinery a production deployment uses to survive them:
 //!
 //! * **Fault injection** ([`FaultPlan`]) — scripted or seeded-random
 //!   crashes (cold-cache restarts) and stragglers (speed-factor
@@ -38,7 +43,10 @@
 //!   switched mid-run via a cold handoff.
 //!
 //! Every offered request is accounted for in exactly one of
-//! `completed / shed / lost / unfinished` — nothing is silently dropped.
+//! `completed / shed / lost / unfinished`; requests an engine drops because
+//! they can never fit its KV pool count as `unfinished`. Every control
+//! action lands in one typed event log ([`FleetEvent`]), printed as the
+//! human timeline or exported as a Chrome trace ([`result_chrome_json`]).
 //!
 //! ## Example
 //!
@@ -81,7 +89,7 @@ pub use fleet::{
     FleetController, TransferConfig,
 };
 pub use metrics::{
-    window_stats, window_stats_with, ControlEvent, ControlResult, TimelineEvent, WindowScratch,
-    WindowStats,
+    window_stats, window_stats_with, ControlResult, FleetEvent, FleetEventKind, FleetRow,
+    WindowScratch, WindowStats,
 };
 pub use trace::{result_chrome_json, timeline_chrome_json};

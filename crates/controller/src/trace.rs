@@ -1,6 +1,6 @@
-//! Chrome trace-event export of the control plane's event-queue timeline.
+//! Chrome trace-event export of the control plane's event log.
 //!
-//! Converts a [`ControlResult`]'s structured [`TimelineEvent`] stream into
+//! Converts a [`ControlResult`]'s typed [`FleetEvent`] stream into
 //! the Trace Event Format consumed by `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev): one instant event (`ph: "i"`) per
 //! control action — or a complete event (`ph: "X"`) when the entry carries a
@@ -8,12 +8,13 @@
 //! track for ticks and scaling decisions. Useful for seeing crash → detect →
 //! transfer → failover → revive sequences laid out on the virtual clock.
 
-use crate::metrics::{ControlResult, TimelineEvent};
+use crate::metrics::{ControlResult, FleetEvent};
 use sim_core::SimTime;
 
-/// Serializes a timeline into Trace Event Format JSON (object form).
+/// Serializes an event log into Trace Event Format JSON (object form).
 ///
-/// Timestamps are microseconds (the format's native unit); replicas map to
+/// Each event is named by [`crate::FleetEventKind::name`]. Timestamps are
+/// microseconds (the format's native unit); replicas map to
 /// thread ids under process 0, fleet-wide events (ticks, scaling) to thread
 /// id 0 under process 1. Instant events use thread scope (`"s":"t"`). The
 /// events sit under `traceEvents`, and `otherData.knobs` records the
@@ -29,8 +30,8 @@ use sim_core::SimTime;
 /// assert!(json.starts_with("{\"traceEvents\":[]"));
 /// assert!(json.contains("\"knobs\""));
 /// ```
-pub fn timeline_chrome_json(timeline: &[TimelineEvent]) -> String {
-    let events: Vec<String> = timeline
+pub fn timeline_chrome_json(events: &[FleetEvent]) -> String {
+    let entries: Vec<String> = events
         .iter()
         .map(|event| {
             let (pid, tid) = match event.replica {
@@ -40,10 +41,10 @@ pub fn timeline_chrome_json(timeline: &[TimelineEvent]) -> String {
             if event.dur_ns > 0 {
                 format!(
                     concat!(
-                        "{{\"name\":{},\"cat\":\"control\",\"ph\":\"X\",",
+                        "{{\"name\":\"{}\",\"cat\":\"control\",\"ph\":\"X\",",
                         "\"ts\":{:.3},\"dur\":{:.3},\"pid\":{},\"tid\":{}}}"
                     ),
-                    json_string(&event.kind),
+                    event.kind.name(),
                     SimTime::from_ns(event.t_ns).as_us_f64(),
                     SimTime::from_ns(event.dur_ns).as_us_f64(),
                     pid,
@@ -52,10 +53,10 @@ pub fn timeline_chrome_json(timeline: &[TimelineEvent]) -> String {
             } else {
                 format!(
                     concat!(
-                        "{{\"name\":{},\"cat\":\"control\",\"ph\":\"i\",\"s\":\"t\",",
+                        "{{\"name\":\"{}\",\"cat\":\"control\",\"ph\":\"i\",\"s\":\"t\",",
                         "\"ts\":{:.3},\"pid\":{},\"tid\":{}}}"
                     ),
-                    json_string(&event.kind),
+                    event.kind.name(),
                     SimTime::from_ns(event.t_ns).as_us_f64(),
                     pid,
                     tid,
@@ -65,50 +66,34 @@ pub fn timeline_chrome_json(timeline: &[TimelineEvent]) -> String {
         .collect();
     format!(
         "{{\"traceEvents\":[{}],\"otherData\":{{\"knobs\":{}}}}}",
-        events.join(","),
+        entries.join(","),
         sim_core::knobs::snapshot().artifact_json(),
     )
 }
 
 /// [`timeline_chrome_json`] applied to a run's result.
 pub fn result_chrome_json(result: &ControlResult) -> String {
-    timeline_chrome_json(&result.timeline)
-}
-
-/// Minimal JSON string escaping for event names.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    timeline_chrome_json(&result.events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::FleetEventKind;
 
-    fn sample() -> Vec<TimelineEvent> {
+    fn sample() -> Vec<FleetEvent> {
         vec![
-            TimelineEvent {
+            FleetEvent {
                 t_ns: 2_000_000_000,
-                kind: "crash".into(),
                 replica: Some(1),
                 dur_ns: 0,
+                kind: FleetEventKind::Crash { in_flight: 3 },
             },
-            TimelineEvent {
+            FleetEvent {
                 t_ns: 2_500_000_000,
-                kind: "tick".into(),
                 replica: None,
                 dur_ns: 0,
+                kind: FleetEventKind::Tick,
             },
         ]
     }
@@ -132,11 +117,14 @@ mod tests {
 
     #[test]
     fn spans_render_as_complete_events() {
-        let json = timeline_chrome_json(&[TimelineEvent {
+        let json = timeline_chrome_json(&[FleetEvent {
             t_ns: 1_000_000,
-            kind: "transfer".into(),
             replica: Some(2),
             dur_ns: 250_000,
+            kind: FleetEventKind::Prewarm {
+                donor: 0,
+                tokens: 64,
+            },
         }]);
         assert!(json.contains("\"ph\":\"X\""), "{json}");
         assert!(json.contains("\"dur\":250.000"), "{json}");
@@ -144,10 +132,5 @@ mod tests {
             !json.contains("\"s\":\"t\""),
             "complete events carry no scope"
         );
-    }
-
-    #[test]
-    fn names_are_escaped() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

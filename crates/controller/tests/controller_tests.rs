@@ -2,10 +2,10 @@
 //! requests through crashes, failover correctness, autoscaling, admission
 //! control, and bit-level determinism.
 
-use cluster::{LeastOutstanding, PrefixAffinity, RoundRobin};
+use cluster::{ConsistentHashPrefix, LeastOutstanding, PrefixAffinity, RoundRobin, Router};
 use controller::{
     window_stats, AdmissionConfig, AutoscalerConfig, ControlResult, ControllerConfig, FaultEvent,
-    FaultKind, FaultPlan, FidelityPolicy, FleetController, RandomFaultConfig,
+    FaultKind, FaultPlan, FidelityPolicy, FleetController, FleetEventKind, RandomFaultConfig,
 };
 use replica_fidelity::Fidelity;
 use serving::{ModelSpec, ServingConfig};
@@ -55,41 +55,13 @@ fn assert_conservation(requests: &[workloads::Request], r: &ControlResult) {
     }
 }
 
-#[test]
-fn no_fault_controller_matches_cluster_run() {
-    let requests = trace(6.0, 6.0, 3);
-    let config = ControllerConfig::managed(3, engine_config());
-    let managed =
-        FleetController::with_lazy_pat(config, Box::new(RoundRobin::new()), FaultPlan::none())
-            .run(&requests);
-    let cluster_cfg = cluster::ClusterConfig::new(3, engine_config());
-    let reference =
-        cluster::Cluster::with_lazy_pat(&cluster_cfg, Box::new(RoundRobin::new())).run(&requests);
-    // With no faults the control plane must be a no-op: identical
-    // completions with identical (bit-for-bit) latencies.
-    assert_eq!(managed.completed, reference.fleet.completed);
-    let mut reference_records: Vec<_> = reference
-        .per_replica
-        .iter()
-        .flat_map(|r| r.result.per_request.iter().copied())
-        .collect();
-    reference_records.sort_by_key(|m| m.request_id);
-    assert_eq!(managed.per_request, reference_records);
-    assert_eq!(managed.failovers, 0);
-    assert_eq!(managed.crashes, 0);
-    assert_eq!(managed.lost, 0);
-    assert_eq!(managed.shed, 0);
-    assert_conservation(&requests, &managed);
-}
-
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
-    /// The controller analogue of the cluster's single-replica equivalence
-    /// guarantee: a 1-replica managed fleet with no faults, no autoscaler,
-    /// and no admission control is the bare serving engine, bit for bit.
-    /// Health ticks, the event queue, and the submit/origin bookkeeping
-    /// must all be invisible — the integer-time spine makes "invisible"
-    /// mean exact equality, not a tolerance.
+    /// A 1-replica managed fleet with no faults, no autoscaler, and no
+    /// admission control is the bare serving engine, bit for bit, under
+    /// every router. Health ticks, the event queue, and the submit/origin
+    /// bookkeeping must all be invisible — the integer-time spine makes
+    /// "invisible" mean exact equality, not a tolerance.
     #[test]
     fn one_replica_managed_fleet_matches_bare_engine_bit_for_bit(
         seed in 0u64..1_000,
@@ -105,24 +77,33 @@ proptest::proptest! {
         });
         let mut pat = pat_core::LazyPat::new();
         let reference = serving::simulate_serving(&engine_config(), &mut pat, &requests);
-        let config = ControllerConfig::managed(1, engine_config());
-        let managed = FleetController::with_lazy_pat(
-            config,
-            Box::new(RoundRobin::new()),
-            FaultPlan::none(),
-        )
-        .run(&requests);
-        assert_conservation(&requests, &managed);
         let mut reference_records = reference.per_request.clone();
         reference_records.sort_by_key(|m| m.request_id);
-        prop_assert_eq!(&managed.per_request, &reference_records);
-        prop_assert_eq!(managed.completed, reference.metrics.completed);
-        prop_assert_eq!(managed.fleet.mean_ttft_ms, reference.metrics.mean_ttft_ms);
-        prop_assert_eq!(managed.fleet.p99_tpot_ms, reference.metrics.p99_tpot_ms);
-        prop_assert_eq!(managed.unfinished, reference.unfinished);
-        prop_assert_eq!(managed.failovers, 0);
-        prop_assert_eq!(managed.lost, 0);
-        prop_assert_eq!(managed.shed, 0);
+        let routers: [Box<dyn Router>; 4] = [
+            Box::new(RoundRobin::new()),
+            Box::new(LeastOutstanding::new()),
+            Box::new(ConsistentHashPrefix::default()),
+            Box::new(PrefixAffinity::new()),
+        ];
+        for router in routers {
+            let config = ControllerConfig::managed(1, engine_config());
+            let managed =
+                FleetController::with_lazy_pat(config, router, FaultPlan::none()).run(&requests);
+            assert_conservation(&requests, &managed);
+            prop_assert_eq!(&managed.per_request, &reference_records);
+            prop_assert_eq!(managed.completed, reference.metrics.completed);
+            prop_assert_eq!(managed.fleet.mean_ttft_ms, reference.metrics.mean_ttft_ms);
+            prop_assert_eq!(managed.fleet.p99_tpot_ms, reference.metrics.p99_tpot_ms);
+            prop_assert_eq!(managed.unfinished, reference.unfinished);
+            prop_assert_eq!(managed.preemptions, reference.preemptions);
+            prop_assert_eq!(managed.failovers, 0);
+            prop_assert_eq!(managed.lost, 0);
+            prop_assert_eq!(managed.shed, 0);
+            // One replica is trivially balanced and has no peers to
+            // duplicate KV against.
+            prop_assert_eq!(managed.load_imbalance, 0.0);
+            prop_assert_eq!(managed.duplicated_kv_blocks, 0);
+        }
     }
 }
 
@@ -147,7 +128,7 @@ fn failover_loses_nothing_and_pays_in_recomputed_prefill() {
         "failover cost not accounted"
     );
     // The timeline records the crash, its detection, and the restart.
-    let whats: Vec<&str> = result.events.iter().map(|e| e.what.as_str()).collect();
+    let whats: Vec<String> = result.events.iter().map(|e| e.to_string()).collect();
     assert!(whats.iter().any(|w| w.starts_with("crash replica 0")));
     assert!(whats
         .iter()
@@ -427,6 +408,27 @@ fn goodput_is_zero_not_nan_on_an_empty_offer() {
     assert!(result.fleet.p99_ttft_ms.is_finite());
 }
 
+/// An engine drops a request whose prompt plus decode can never fit its KV
+/// pool. The fleet has no separate bucket for it: it counts as unfinished,
+/// and conservation still holds.
+#[test]
+fn request_that_never_fits_the_kv_pool_lands_in_unfinished() {
+    let mut requests = trace(4.0, 4.0, 43);
+    let oversized = requests[0].id;
+    requests[0].decode_tokens = 1 << 30;
+    for fidelity in [Fidelity::Exact, Fidelity::Analytical] {
+        let mut config = ControllerConfig::static_fleet(2, engine_config());
+        config.fidelity = fidelity;
+        let result =
+            FleetController::with_lazy_pat(config, Box::new(RoundRobin::new()), FaultPlan::none())
+                .run(&requests);
+        assert_conservation(&requests, &result);
+        assert_eq!(result.unfinished, 1, "{fidelity:?}");
+        assert_eq!(result.completed, requests.len() - 1, "{fidelity:?}");
+        assert!(result.per_request.iter().all(|m| m.request_id != oversized));
+    }
+}
+
 #[test]
 fn router_skips_detected_dead_replicas() {
     // After detection, no new arrival may be routed into the dead
@@ -548,10 +550,13 @@ fn migration_reduces_refilled_prefill_under_a_crash() {
     // Transfers occupy wire time: they appear as spans on the timeline and
     // as complete events in the Chrome export.
     assert!(migrated
-        .timeline
+        .events
         .iter()
-        .any(|e| e.kind == "transfer" && e.dur_ns > 0));
-    assert!(migrated.timeline.iter().any(|e| e.kind == "migrate-ingest"));
+        .any(|e| matches!(e.kind, FleetEventKind::Migrate { .. }) && e.dur_ns > 0));
+    assert!(migrated
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, FleetEventKind::MigrateIngest { .. })));
     assert!(controller::result_chrome_json(&migrated).contains("\"ph\":\"X\""));
 }
 
@@ -572,9 +577,9 @@ fn instant_links_make_migration_free_and_waitless() {
     assert!(result.migrations > 0, "no migration: {:?}", result.events);
     assert_eq!(result.kv_transfer_nic_wait_ns, 0);
     assert!(result
-        .timeline
+        .events
         .iter()
-        .filter(|e| e.kind == "transfer")
+        .filter(|e| e.kind.name() == "transfer")
         .all(|e| e.dur_ns == 0));
 }
 
@@ -620,7 +625,10 @@ fn disaggregated_fleet_hands_off_kv_and_completes() {
         .iter()
         .chain(result.shed_ids.iter())
         .all(|id| id & shadow_bit == 0));
-    assert!(result.timeline.iter().any(|e| e.kind == "handoff-ingest"));
+    assert!(result
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, FleetEventKind::HandoffIngest { .. })));
     assert!(result.kv_transfers >= result.disagg_handoffs as u64);
 }
 
@@ -676,7 +684,10 @@ fn fidelity_policy_switches_mid_run_and_conserves_requests() {
         result.fidelity_switches > 0,
         "the load-adaptive policy never switched a replica"
     );
-    assert!(result.timeline.iter().any(|e| e.kind == "fidelity-switch"));
+    assert!(result
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, FleetEventKind::FidelitySwitch { .. })));
     assert!(result.completed > 0);
 }
 

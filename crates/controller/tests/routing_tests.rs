@@ -1,17 +1,18 @@
-//! Integration tests for the cluster simulator: single-replica equivalence
-//! with the plain serving engine, routing-output invariance, and the
-//! qualitative behavior of each routing policy.
+//! Routing studies on `FleetController`: fault-free static fleets under each
+//! `cluster` router. Routing-output invariance, finite metrics on degenerate
+//! fleets, and the qualitative behavior of each routing policy.
 
 use cluster::{
-    Cluster, ClusterConfig, ConsistentHashPrefix, FleetRow, LeastOutstanding, PrefixAffinity,
-    RoundRobin, Router,
+    ConsistentHashPrefix, LeastOutstanding, PrefixAffinity, ReplicaView, RoundRobin, Router,
 };
+use controller::{ControlResult, ControllerConfig, FaultPlan, FleetController, FleetRow};
 use pat_core::LazyPat;
 use proptest::prelude::*;
-use serving::{simulate_serving, ModelSpec, ServingConfig};
+use serving::{ModelSpec, ServingConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
 use workloads::{generate_trace, Request, TraceConfig, TraceKind};
 
 fn policies() -> Vec<Box<dyn Router>> {
@@ -27,6 +28,47 @@ fn engine_config() -> ServingConfig {
     ServingConfig::single_gpu(ModelSpec::llama3_8b())
 }
 
+/// Serves `requests` on a fault-free static fleet of `replicas` PAT replicas.
+fn run_static(replicas: usize, router: Box<dyn Router>, requests: &[Request]) -> ControlResult {
+    let config = ControllerConfig::static_fleet(replicas, engine_config());
+    FleetController::with_lazy_pat(config, router, FaultPlan::none()).run(requests)
+}
+
+/// `(request id, replica)` for every placement, in routing order.
+type Placements = Arc<Mutex<Vec<(u64, usize)>>>;
+
+/// Wraps a router and records every placement it makes.
+#[derive(Debug)]
+struct Recording {
+    inner: Box<dyn Router>,
+    placements: Placements,
+}
+
+impl Recording {
+    fn new(inner: Box<dyn Router>) -> (Self, Placements) {
+        let placements = Arc::new(Mutex::new(Vec::new()));
+        let router = Recording {
+            inner,
+            placements: Arc::clone(&placements),
+        };
+        (router, placements)
+    }
+}
+
+impl Router for Recording {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn route(&mut self, request: &Request, replicas: &[ReplicaView<'_>]) -> Option<usize> {
+        let choice = self.inner.route(request, replicas);
+        if let Some(replica) = choice {
+            self.placements.lock().unwrap().push((request.id, replica));
+        }
+        choice
+    }
+}
+
 /// The simulator's decode output is a pure function of the request: the
 /// engine emits exactly `produced` tokens whose identity is determined by
 /// the prompt. This digest stands in for the decoded text.
@@ -35,61 +77,6 @@ fn output_digest(request: &Request, produced: usize) -> u64 {
     request.prompt.to_tokens().hash(&mut h);
     produced.hash(&mut h);
     h.finish()
-}
-
-#[test]
-fn one_replica_cluster_matches_single_engine_bit_for_bit() {
-    let requests = generate_trace(TraceConfig {
-        kind: TraceKind::Conversation,
-        rate_per_s: 4.0,
-        duration_s: 6.0,
-        seed: 3,
-    });
-    let mut pat = LazyPat::new();
-    let reference = simulate_serving(&engine_config(), &mut pat, &requests);
-    assert!(reference.metrics.completed > 0);
-    for router in policies() {
-        let name = router.name();
-        let config = ClusterConfig::new(1, engine_config());
-        let result = Cluster::with_lazy_pat(&config, router).run(&requests);
-        let replica = &result.per_replica[0].result;
-        // Exact f64 equality throughout: the cluster driver must execute the
-        // identical step sequence, not an approximation of it.
-        assert_eq!(
-            replica.per_request, reference.per_request,
-            "{name}: per-request metrics"
-        );
-        assert_eq!(
-            replica.decode_steps, reference.decode_steps,
-            "{name}: decode steps"
-        );
-        assert_eq!(
-            replica.preemptions, reference.preemptions,
-            "{name}: preemptions"
-        );
-        assert_eq!(
-            replica.unfinished, reference.unfinished,
-            "{name}: unfinished"
-        );
-        assert!(
-            replica.metrics.mean_tpot_ms == reference.metrics.mean_tpot_ms
-                && replica.metrics.p99_tpot_ms == reference.metrics.p99_tpot_ms
-                && replica.metrics.mean_ttft_ms == reference.metrics.mean_ttft_ms,
-            "{name}: aggregate metrics drifted"
-        );
-        assert_eq!(
-            result.fleet.completed, reference.metrics.completed,
-            "{name}"
-        );
-        assert_eq!(
-            result.load_imbalance, 0.0,
-            "{name}: one replica is trivially balanced"
-        );
-        assert_eq!(
-            result.duplicated_kv_blocks, 0,
-            "{name}: no peers to duplicate against"
-        );
-    }
 }
 
 proptest! {
@@ -110,12 +97,10 @@ proptest! {
         let mut reference: Option<BTreeMap<u64, (usize, u64)>> = None;
         for router in policies() {
             let name = router.name();
-            let config = ClusterConfig::new(replicas, engine_config());
-            let result = Cluster::with_lazy_pat(&config, router).run(&requests);
+            let result = run_static(replicas, router, &requests);
             let outputs: BTreeMap<u64, (usize, u64)> = result
-                .per_replica
+                .per_request
                 .iter()
-                .flat_map(|r| r.result.per_request.iter())
                 .map(|m| {
                     let request = &requests[m.request_id as usize];
                     (m.request_id, (m.decode_tokens, output_digest(request, m.decode_tokens)))
@@ -149,8 +134,7 @@ fn empty_and_single_replica_fleet_metrics_are_finite() {
             }),
         ),
     ] {
-        let config = ClusterConfig::new(replicas, engine_config());
-        let result = Cluster::with_lazy_pat(&config, Box::new(RoundRobin::new())).run(&requests);
+        let result = run_static(replicas, Box::new(RoundRobin::new()), &requests);
         let row = FleetRow::new("round-robin", "probe", 0.0, &result);
         for v in [
             row.mean_ttft_ms,
@@ -178,19 +162,23 @@ fn round_robin_balances_and_consistent_hash_pins_prefix_families() {
         duration_s: 8.0,
         seed: 17,
     });
-    let config = ClusterConfig::new(3, engine_config());
-    let rr = Cluster::with_lazy_pat(&config, Box::new(RoundRobin::new())).run(&requests);
+    let (router, placements) = Recording::new(Box::new(RoundRobin::new()));
+    let rr = run_static(3, Box::new(router), &requests);
     // Round-robin is balanced by construction (counts differ by at most 1).
-    let counts: Vec<usize> = rr.per_replica.iter().map(|r| r.routed).collect();
+    let mut counts = [0usize; 3];
+    for &(_, replica) in placements.lock().unwrap().iter() {
+        counts[replica] += 1;
+    }
+    assert_eq!(counts.iter().sum::<usize>(), requests.len());
     assert!(counts.iter().max().unwrap() - counts.iter().min().unwrap() <= 1);
     assert!(rr.load_imbalance < 0.05);
 
-    let ch =
-        Cluster::with_lazy_pat(&config, Box::new(ConsistentHashPrefix::default())).run(&requests);
+    let (router, placements) = Recording::new(Box::new(ConsistentHashPrefix::default()));
+    run_static(3, Box::new(router), &requests);
     // Every request of a prefix family (same tool prompt) lands on the same
     // replica.
     let mut family_to_replica: BTreeMap<u64, usize> = BTreeMap::new();
-    for (id, replica) in &ch.assignments {
+    for (id, replica) in placements.lock().unwrap().iter() {
         let family = requests[*id as usize].prompt.segments[0].id;
         let seen = family_to_replica.entry(family).or_insert(*replica);
         assert_eq!(seen, replica, "family {family:#x} split across replicas");
@@ -215,9 +203,8 @@ fn prefix_affinity_beats_round_robin_on_a_toolagent_fleet() {
         duration_s: 10.0,
         seed: 9,
     });
-    let config = ClusterConfig::new(4, engine_config());
-    let rr = Cluster::with_lazy_pat(&config, Box::new(RoundRobin::new())).run(&requests);
-    let aff = Cluster::with_lazy_pat(&config, Box::new(PrefixAffinity::new())).run(&requests);
+    let rr = run_static(4, Box::new(RoundRobin::new()), &requests);
+    let aff = run_static(4, Box::new(PrefixAffinity::new()), &requests);
     assert_eq!(rr.unfinished, 0);
     assert_eq!(aff.unfinished, 0);
     assert!(
@@ -241,8 +228,8 @@ fn prefix_affinity_beats_round_robin_on_a_toolagent_fleet() {
 }
 
 /// Two replicas doing identical work hold *identical* integer clocks — not
-/// clocks an ulp apart — and the cluster's advance loop visits equal-clock
-/// replicas in replica-index order. Under f64 clocks neither half of this
+/// clocks an ulp apart — and the fleet's event queue hands equal-instant
+/// entries back in push order. Under f64 clocks neither half of this
 /// was a guarantee; under the `SimTime` spine both are exact.
 #[test]
 fn identical_clocks_advance_in_replica_index_order() {
@@ -306,8 +293,7 @@ fn least_outstanding_tracks_load_under_skewed_service_times() {
         duration_s: 8.0,
         seed: 5,
     });
-    let config = ClusterConfig::new(3, engine_config());
-    let result = Cluster::with_lazy_pat(&config, Box::new(LeastOutstanding::new())).run(&requests);
+    let result = run_static(3, Box::new(LeastOutstanding::new()), &requests);
     assert_eq!(result.unfinished, 0);
     assert_eq!(result.fleet.completed, requests.len());
     assert!(
@@ -319,11 +305,11 @@ fn least_outstanding_tracks_load_under_skewed_service_times() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
-    /// `sim_core::par`'s thread count is a pure performance knob at the
-    /// cluster layer too: a random routed fleet run on 1 and on 4 worker
+    /// `sim_core::par`'s thread count is a pure performance knob for
+    /// routing studies too: a random routed fleet run on 1 and on 4 worker
     /// threads must produce byte-identical serialized results.
     #[test]
-    fn cluster_results_are_thread_count_invariant(
+    fn routed_fleet_results_are_thread_count_invariant(
         seed in 0u64..1_000,
         kind_ix in 0usize..4,
         rate in 4.0f64..10.0,
@@ -337,12 +323,11 @@ proptest! {
         });
         let run = |threads: usize| {
             sim_core::par::set_thread_override(Some(threads));
-            let config = ClusterConfig::new(3, engine_config());
             let router = policies().swap_remove(policy_ix);
-            let result = Cluster::with_lazy_pat(&config, router).run(&requests);
+            let result = run_static(3, router, &requests);
             sim_core::par::set_thread_override(None);
-            serde_json::to_string(&result).expect("ClusterResult serializes")
+            serde_json::to_string(&result).expect("ControlResult serializes")
         };
-        prop_assert_eq!(run(1), run(4), "cluster metrics diverge across thread counts");
+        prop_assert_eq!(run(1), run(4), "fleet metrics diverge across thread counts");
     }
 }

@@ -347,10 +347,6 @@ impl ReplicaModel for AnalyticalReplica {
         self.clock
     }
 
-    fn config(&self) -> &ServingConfig {
-        &self.config
-    }
-
     fn queue_depth(&self) -> usize {
         self.waiting.len()
     }
@@ -373,10 +369,6 @@ impl ReplicaModel for AnalyticalReplica {
 
     fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize {
         self.prefix.overlap_tokens(prompt_tokens)
-    }
-
-    fn cache_hit_rate(&self) -> f64 {
-        self.prefix.hit_rate()
     }
 
     fn cache_hit_miss_tokens(&self) -> (u64, u64) {

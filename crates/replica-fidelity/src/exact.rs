@@ -58,10 +58,6 @@ impl ReplicaModel for ExactReplica {
         self.engine.clock()
     }
 
-    fn config(&self) -> &ServingConfig {
-        self.engine.config()
-    }
-
     fn queue_depth(&self) -> usize {
         self.engine.queue_depth()
     }
@@ -84,10 +80,6 @@ impl ReplicaModel for ExactReplica {
 
     fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize {
         self.engine.cache().prefix_overlap_tokens(prompt_tokens)
-    }
-
-    fn cache_hit_rate(&self) -> f64 {
-        self.engine.cache().stats().hit_rate()
     }
 
     fn cache_hit_miss_tokens(&self) -> (u64, u64) {

@@ -37,9 +37,6 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
     /// The replica's virtual clock.
     fn clock(&self) -> SimTime;
 
-    /// The replica's engine configuration.
-    fn config(&self) -> &ServingConfig;
-
     /// Requests admitted but not yet decoding.
     fn queue_depth(&self) -> usize;
 
@@ -60,9 +57,6 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
     /// Leading prompt tokens this replica would serve without
     /// recomputation. Read-only: never perturbs cache recency.
     fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize;
-
-    /// Token-level prefix-cache hit rate so far, in `[0, 1]`.
-    fn cache_hit_rate(&self) -> f64;
 
     /// Token-level prefix-cache `(hit, miss)` counters so far.
     fn cache_hit_miss_tokens(&self) -> (u64, u64);

@@ -74,16 +74,6 @@ impl PrefixStore {
         (self.hit_tokens, self.miss_tokens)
     }
 
-    /// Token-level hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hit_tokens + self.miss_tokens;
-        if total == 0 {
-            0.0
-        } else {
-            self.hit_tokens as f64 / total as f64
-        }
-    }
-
     /// Chain hash of each leading full block of `tokens`, in order.
     fn chain_hashes(&self, tokens: &[Token]) -> Vec<u64> {
         let blocks = tokens.len() / self.block_size;
@@ -215,7 +205,6 @@ mod tests {
         assert_eq!(covered, 64);
         let (hit, miss) = s.hit_miss_tokens();
         assert_eq!((hit, miss), (64, 64));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //!
 //! Run with `cargo run --release --example cluster_routing`.
 
-use cluster::FleetRow;
 use pat::prelude::*;
 use workloads::{generate_multi_tenant, MultiTenantConfig, TenantSpec, TraceKind};
 
@@ -57,9 +56,12 @@ fn main() {
     let mut rows: Vec<FleetRow> = Vec::new();
     for router in policies {
         let policy = router.name();
-        let config =
-            ClusterConfig::new(replicas, ServingConfig::single_gpu(ModelSpec::llama3_8b()));
-        let result = Cluster::with_lazy_pat(&config, router).run(&trace.requests);
+        let config = ControllerConfig::static_fleet(
+            replicas,
+            ServingConfig::single_gpu(ModelSpec::llama3_8b()),
+        );
+        let result =
+            FleetController::with_lazy_pat(config, router, FaultPlan::none()).run(&trace.requests);
         let row = FleetRow::new(policy, "multi-tenant", 12.0, &result);
         println!(
             "{:<18} {:>10.1} {:>10.2} {:>7.1}% {:>10.3} {:>10.1} {:>6}",

@@ -76,8 +76,8 @@ fn main() {
     .run(&trace);
 
     println!("\ncontrol-plane timeline (managed fleet):");
-    for e in &managed.events {
-        println!("  t={:>6.2}s  {}", e.t_s, e.what);
+    for e in managed.events.iter().filter(|e| !e.is_tick()) {
+        println!("  t={:>6.2}s  {e}", e.t_s());
     }
 
     println!(
@@ -117,7 +117,7 @@ fn main() {
         std::fs::write(&path, result_chrome_json(&managed)).expect("write chrome trace");
         println!(
             "\nwrote {} timeline events to {path} (load in chrome://tracing)",
-            managed.timeline.len()
+            managed.events.len()
         );
     }
 }

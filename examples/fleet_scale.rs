@@ -185,7 +185,7 @@ fn main() {
         std::fs::write(&path, result_chrome_json(&result)).expect("write chrome trace");
         println!(
             "wrote {} timeline events to {path} (load in chrome://tracing)",
-            result.timeline.len()
+            result.events.len()
         );
     }
 }

@@ -100,8 +100,8 @@ fn main() {
             .run(&trace);
 
     println!("\ncontrol-plane timeline (migration fleet):");
-    for e in &migrated.events {
-        println!("  t={:>6.2}s  {}", e.t_s, e.what);
+    for e in migrated.events.iter().filter(|e| !e.is_tick()) {
+        println!("  t={:>6.2}s  {e}", e.t_s());
     }
 
     println!(
@@ -148,17 +148,16 @@ fn main() {
     );
 
     if let Some(path) = trace_path() {
-        std::fs::write(&path, timeline_chrome_json(&migrated.timeline))
-            .expect("write chrome trace");
+        std::fs::write(&path, timeline_chrome_json(&migrated.events)).expect("write chrome trace");
         let transfers = migrated
-            .timeline
+            .events
             .iter()
-            .filter(|e| e.kind == "transfer")
+            .filter(|e| e.kind.name() == "transfer")
             .count();
         println!(
             "\nwrote {} timeline events to {path} ({transfers} transfer spans; load in \
              chrome://tracing)",
-            migrated.timeline.len()
+            migrated.events.len()
         );
     }
 }

@@ -19,9 +19,9 @@
 //! * [`sim_gpu`] — the A100/H100 simulator;
 //! * [`workloads`] — synthetic `(B, L)` batches and trace models;
 //! * [`serving`] — the continuous-batching serving simulator;
-//! * [`cluster`] — the multi-replica fleet simulator with prefix-aware
-//!   request routing;
-//! * [`controller`] — the fleet control plane: fault injection,
+//! * [`cluster`] — prefix-aware request routers over read-only replica
+//!   views;
+//! * [`controller`] — the fleet simulator: routing studies, fault injection,
 //!   health-checked failover, SLO-aware autoscaling, admission control.
 //!
 //! ## Quickstart
@@ -72,12 +72,11 @@ pub mod prelude {
         Cascade, Deft, FastTree, FlashAttention, FlashInfer, RelayAttention, RelayAttentionPP,
     };
     pub use cluster::{
-        Cluster, ClusterConfig, ConsistentHashPrefix, LeastOutstanding, PrefixAffinity,
-        ReplicaState, RoundRobin, Router,
+        ConsistentHashPrefix, LeastOutstanding, PrefixAffinity, ReplicaState, RoundRobin, Router,
     };
     pub use controller::{
         AdmissionConfig, AutoscalerConfig, ControllerConfig, DisaggConfig, FaultPlan,
-        FleetController, TransferConfig,
+        FleetController, FleetRow, TransferConfig,
     };
     pub use kv_cache::{BlockId, BlockTable, CacheManager, PrefixForest};
     pub use kv_transfer::{FleetTopology, LinkSpec, TransferPlane};
