@@ -8,6 +8,7 @@
 //! they wrap any [`ReplicaModel`], so the same policies route over exact
 //! and analytical replicas (and mixes of them) unchanged.
 
+use kv_cache::chain_hashes;
 use replica_fidelity::ReplicaModel;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -135,10 +136,18 @@ impl<'a> ReplicaView<'a> {
         self.model.num_active()
     }
 
+    /// KV block size of the replica's prefix residency: the block size a
+    /// chain passed to [`ReplicaView::chain_overlap_tokens`] is cut at.
+    pub fn block_size(&self) -> usize {
+        self.model.block_size()
+    }
+
     /// How many leading prompt tokens this replica's KV cache would serve
-    /// without recomputation. Read-only: never touches cache recency.
-    pub fn prefix_overlap_tokens(&self, prompt_tokens: &[u32]) -> usize {
-        self.model.prefix_overlap_tokens(prompt_tokens)
+    /// without recomputation, given the prompt's
+    /// [`kv_cache::chain_hashes`] at [`ReplicaView::block_size`].
+    /// Read-only: never touches cache recency.
+    pub fn chain_overlap_tokens(&self, chain: &[u64]) -> usize {
+        self.model.chain_overlap_tokens(chain)
     }
 }
 
@@ -354,7 +363,11 @@ impl Router for PrefixAffinity {
     }
 
     fn route(&mut self, request: &Request, replicas: &[ReplicaView<'_>]) -> Option<usize> {
-        let prompt_tokens = request.prompt.to_tokens();
+        // Hashed once per route. Every fidelity cuts blocks at
+        // `DEFAULT_BLOCK_SIZE`, so one chain fits every replica.
+        let chain = replicas.first().map_or_else(Vec::new, |v| {
+            chain_hashes(&request.prompt.to_tokens(), v.block_size())
+        });
         let mut best: Option<usize> = None;
         let mut best_score = f64::NEG_INFINITY;
         let mut best_overlap = 0usize;
@@ -362,7 +375,7 @@ impl Router for PrefixAffinity {
             if !view.state().is_routable() {
                 continue;
             }
-            let overlap = view.prefix_overlap_tokens(&prompt_tokens);
+            let overlap = view.chain_overlap_tokens(&chain);
             let score = overlap as f64 - self.alpha * view.outstanding() as f64;
             if score > best_score {
                 best = Some(i);

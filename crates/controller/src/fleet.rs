@@ -26,6 +26,7 @@ use cluster::{
     duplicated_blocks, kv_block_bytes, load_imbalance, ReplicaRole, ReplicaState, ReplicaView,
     Router,
 };
+use kv_cache::chain_hashes;
 use kv_transfer::{FleetTopology, TransferKind, TransferPlane};
 use pat_core::LazyPat;
 use replica_fidelity::{fidelity_from_env, new_replica, Fidelity, ReplicaModel};
@@ -907,7 +908,7 @@ impl Sim {
     /// is routable, so the caller can buffer or retry it.
     fn route_now(&mut self, req: Request, is_failover: bool) -> Option<Request> {
         let wanted = self.wanted_role(req.id);
-        let (target, overlap) = {
+        let (target, overlap, chain) = {
             let views: Vec<ReplicaView<'_>> = self
                 .replicas
                 .iter()
@@ -933,17 +934,21 @@ impl Sim {
                 views[target].state().is_routable(),
                 "router picked non-routable replica {target}"
             );
-            let overlap = if is_failover {
-                views[target].prefix_overlap_tokens(&req.prompt.to_tokens())
+            // A failover probes the target and every donor candidate with
+            // the same prompt: hash it once. Other routes need no overlap
+            // (an empty chain has none).
+            let chain = if is_failover {
+                chain_hashes(&req.prompt.to_tokens(), self.block_size())
             } else {
-                0
+                Vec::new()
             };
-            (target, overlap)
+            let overlap = views[target].chain_overlap_tokens(&chain);
+            (target, overlap, chain)
         };
         if self.replicas[target].actual.is_routable() {
             if is_failover {
                 self.failovers += 1;
-                if let Some(req) = self.try_migrate(target, overlap, req) {
+                if let Some(req) = self.try_migrate(target, overlap, &chain, req) {
                     // No donor worth migrating from (or recompute wins):
                     // the whole uncovered prompt refills cold.
                     let recompute = req.prompt.total_tokens().saturating_sub(overlap);
@@ -997,13 +1002,15 @@ impl Sim {
     }
 
     /// Failover hook: try to stream the best donor's warm prefix to the
-    /// failover target instead of recomputing it. Returns the request when
-    /// migration does not apply (caller recomputes cold); `None` means the
-    /// request is held until its transfer completes.
+    /// failover target instead of recomputing it. `chain` is the prompt's
+    /// [`chain_hashes`]. Returns the request when migration does not apply
+    /// (caller recomputes cold); `None` means the request is held until its
+    /// transfer completes.
     fn try_migrate(
         &mut self,
         target: usize,
         target_overlap: usize,
+        chain: &[u64],
         req: Request,
     ) -> Option<Request> {
         let (migration, min_gain) = match self.config.transfer.as_ref() {
@@ -1013,14 +1020,13 @@ impl Sim {
         if !migration {
             return Some(req);
         }
-        let tokens = req.prompt.to_tokens();
         // Donor: the routable replica holding the longest resident prefix.
         let mut best: Option<(usize, usize)> = None;
         for (j, r) in self.replicas.iter().enumerate() {
             if j == target || !r.observed.is_routable() || !r.actual.is_routable() {
                 continue;
             }
-            let overlap = r.model.prefix_overlap_tokens(&tokens);
+            let overlap = r.model.chain_overlap_tokens(chain);
             if overlap > best.map_or(0, |(_, b)| b) {
                 best = Some((j, overlap));
             }
@@ -1242,6 +1248,7 @@ impl Sim {
             }
             _ => return,
         };
+        let block_size = self.block_size();
         let mut best: Option<(usize, usize, Vec<kv_cache::Token>)> = None;
         for req in self
             .pending
@@ -1250,11 +1257,12 @@ impl Sim {
             .take(candidates)
         {
             let tokens = req.prompt.to_tokens();
+            let chain = chain_hashes(&tokens, block_size);
             for (j, r) in self.replicas.iter().enumerate() {
                 if j == dst || !r.observed.is_routable() || !r.actual.is_routable() {
                     continue;
                 }
-                let overlap = r.model.prefix_overlap_tokens(&tokens);
+                let overlap = r.model.chain_overlap_tokens(&chain);
                 if overlap >= min_tokens && overlap > best.as_ref().map_or(0, |(_, b, _)| *b) {
                     best = Some((j, overlap, tokens.clone()));
                 }
@@ -1263,7 +1271,6 @@ impl Sim {
         let Some((donor, overlap, tokens)) = best else {
             return;
         };
-        let block_size = self.block_size();
         let blocks = overlap / block_size;
         if blocks == 0 {
             return;

@@ -18,6 +18,51 @@ use std::hash::{Hash, Hasher};
 /// Token id type used throughout the reproduction.
 pub type Token = u32;
 
+/// Chain hashes of the leading full blocks of `tokens`, in order: block
+/// `i` hashes (block `i − 1`'s hash, block `i`'s tokens) with SipHash,
+/// starting from 0, so equal hashes mean equal prefixes. The partial tail
+/// block has none. [`CacheManager`] keys its resident blocks by these
+/// values, so one chain, computed once per prompt, can probe any prefix
+/// store cut at the same `block_size`.
+///
+/// # Panics
+///
+/// Panics if `block_size` is zero.
+///
+/// # Examples
+///
+/// ```
+/// use kv_cache::{chain_hashes, CacheManager};
+///
+/// let prompt: Vec<u32> = (0..40).collect();
+/// let chain = chain_hashes(&prompt, 16);
+/// assert_eq!(chain.len(), 2); // the 8-token tail has no hash
+/// let mut cache = CacheManager::new(64, 16);
+/// cache.insert_sequence(&prompt[..16])?;
+/// assert_eq!(cache.chain_overlap_tokens(&chain), 16);
+/// # Ok::<(), kv_cache::AllocError>(())
+/// ```
+pub fn chain_hashes(tokens: &[Token], block_size: usize) -> Vec<u64> {
+    chain(tokens, block_size).collect()
+}
+
+/// The lazy form of [`chain_hashes`], for callers that may stop early.
+fn chain(tokens: &[Token], block_size: usize) -> impl Iterator<Item = u64> + '_ {
+    assert!(block_size > 0, "block size must be positive");
+    let mut parent = 0u64;
+    tokens.chunks_exact(block_size).map(move |chunk| {
+        parent = chain_hash(parent, chunk);
+        parent
+    })
+}
+
+fn chain_hash(parent: u64, chunk: &[Token]) -> u64 {
+    let mut h = DefaultHasher::new();
+    parent.hash(&mut h);
+    chunk.hash(&mut h);
+    h.finish()
+}
+
 /// Cumulative prefix-cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -89,7 +134,10 @@ pub struct CacheManager {
     // deterministic iteration order makes LRU ties (and thus the whole
     // simulation) reproducible run-to-run (sim-lint R2).
     by_hash: BTreeMap<u64, CachedBlock>,
-    hash_of_block: BTreeMap<BlockId, u64>,
+    /// Cached blocks held by the cache alone (refcount 1). Kept current at
+    /// every refcount change of a cached block, so admission reads it in
+    /// O(1) instead of scanning `by_hash`.
+    evictable: usize,
     stats: CacheStats,
     clock: u64,
 }
@@ -107,7 +155,7 @@ impl CacheManager {
             allocator: BlockAllocator::new(capacity_blocks),
             block_size,
             by_hash: BTreeMap::new(),
-            hash_of_block: BTreeMap::new(),
+            evictable: 0,
             stats: CacheStats::default(),
             clock: 0,
         }
@@ -130,6 +178,13 @@ impl CacheManager {
 
     /// Cached blocks held only by the cache itself (evictable on demand).
     pub fn evictable_blocks(&self) -> usize {
+        self.evictable
+    }
+
+    /// [`CacheManager::evictable_blocks`] by a full scan: the definition
+    /// the counter must match.
+    #[cfg(test)]
+    fn evictable_blocks_by_scan(&self) -> usize {
         self.by_hash
             .values()
             .filter(|c| self.allocator.refcount(c.block) == 1)
@@ -141,42 +196,36 @@ impl CacheManager {
         self.allocator.free_blocks() + self.evictable_blocks()
     }
 
-    /// Read-only probe: how many leading tokens of `tokens` would be served
-    /// from the cache if the sequence were inserted right now.
+    /// Read-only probe: how many leading tokens of a sequence would be
+    /// served from the cache if it were inserted right now, given the
+    /// sequence's [`chain_hashes`] at this cache's block size.
     ///
-    /// Walks the chain hashes of full blocks without bumping recency or
-    /// statistics, so routers can repeatedly probe live replica caches
-    /// without perturbing LRU eviction order.
+    /// Walks the chain without bumping recency or statistics, so routers can
+    /// repeatedly probe live replica caches without perturbing LRU eviction
+    /// order.
+    pub fn chain_overlap_tokens(&self, chain: &[u64]) -> usize {
+        self.resident_chain_len(chain.iter().copied()) * self.block_size
+    }
+
+    /// [`CacheManager::chain_overlap_tokens`] for a token sequence, hashing
+    /// only as far as the resident prefix reaches.
     pub fn prefix_overlap_tokens(&self, tokens: &[Token]) -> usize {
-        let mut parent_hash = 0u64;
-        let mut matched = 0usize;
-        for chunk in tokens.chunks_exact(self.block_size) {
-            let h = Self::chain_hash(parent_hash, chunk);
-            if !self.by_hash.contains_key(&h) {
-                break;
-            }
-            matched += self.block_size;
-            parent_hash = h;
-        }
-        matched
+        self.resident_chain_len(chain(tokens, self.block_size)) * self.block_size
+    }
+
+    /// Leading hashes of `chain` that are resident.
+    fn resident_chain_len(&self, chain: impl Iterator<Item = u64>) -> usize {
+        chain.take_while(|h| self.by_hash.contains_key(h)).count()
     }
 
     /// Export-side probe: the physical blocks a donor would stream for the
     /// cache-resident prefix of `tokens`, in prefix order. Like
-    /// [`CacheManager::prefix_overlap_tokens`] this is read-only — recency,
+    /// [`CacheManager::chain_overlap_tokens`] this is read-only — recency,
     /// refcounts and statistics are untouched.
     pub fn resident_prefix_blocks(&self, tokens: &[Token]) -> Vec<BlockId> {
-        let mut parent_hash = 0u64;
-        let mut blocks = Vec::new();
-        for chunk in tokens.chunks_exact(self.block_size) {
-            let h = Self::chain_hash(parent_hash, chunk);
-            let Some(cached) = self.by_hash.get(&h) else {
-                break;
-            };
-            blocks.push(cached.block);
-            parent_hash = h;
-        }
-        blocks
+        chain(tokens, self.block_size)
+            .map_while(|h| self.by_hash.get(&h).map(|cached| cached.block))
+            .collect()
     }
 
     /// Import side of KV migration: makes the full-block prefix of `tokens`
@@ -192,9 +241,7 @@ impl CacheManager {
     /// accounting stays honest.
     pub fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport {
         let mut report = IngestReport::default();
-        let mut parent_hash = 0u64;
-        for chunk in tokens.chunks_exact(self.block_size) {
-            let h = Self::chain_hash(parent_hash, chunk);
+        for h in chain(tokens, self.block_size) {
             self.clock += 1;
             if let Some(cached) = self.by_hash.get_mut(&h) {
                 cached.last_use = self.clock;
@@ -209,13 +256,13 @@ impl CacheManager {
                         last_use: self.clock,
                     },
                 );
-                self.hash_of_block.insert(block, h);
+                // Held by the cache alone.
+                self.evictable += 1;
                 self.stats.imported_tokens += self.block_size as u64;
                 report.imported_tokens += self.block_size;
                 report.imported_blocks += 1;
             }
             report.covered_tokens += self.block_size;
-            parent_hash = h;
         }
         report
     }
@@ -234,50 +281,59 @@ impl CacheManager {
     /// # Errors
     ///
     /// Returns [`AllocError::OutOfBlocks`] if allocation fails even after
-    /// evicting every unreferenced cached block.
+    /// evicting every unreferenced cached block. The references the
+    /// sequence took before the failure are released again; blocks it
+    /// newly cached stay resident, held by the cache alone.
     pub fn insert_sequence(&mut self, tokens: &[Token]) -> Result<BlockTable, AllocError> {
         let mut table = BlockTable::empty(self.block_size);
+        if let Err(e) = self.fill_table(&mut table, tokens) {
+            self.free_sequence(&table)?;
+            return Err(e);
+        }
+        Ok(table)
+    }
+
+    fn fill_table(&mut self, table: &mut BlockTable, tokens: &[Token]) -> Result<(), AllocError> {
         let mut parent_hash = 0u64;
-        let mut consumed = 0;
-        while consumed < tokens.len() {
-            let take = (tokens.len() - consumed).min(self.block_size);
-            let chunk = &tokens[consumed..consumed + take];
-            if take == self.block_size {
-                let h = Self::chain_hash(parent_hash, chunk);
-                self.clock += 1;
-                if let Some(cached) = self.by_hash.get_mut(&h) {
-                    cached.last_use = self.clock;
-                    let block = cached.block;
-                    self.allocator.retain(block)?;
-                    table.push_block(block, take);
-                    self.stats.hit_blocks += 1;
-                    self.stats.hit_tokens += take as u64;
-                } else {
-                    let block = self.allocate_with_eviction()?;
-                    self.by_hash.insert(
-                        h,
-                        CachedBlock {
-                            block,
-                            last_use: self.clock,
-                        },
-                    );
-                    self.hash_of_block.insert(block, h);
-                    // The cache holds one reference; the request another.
-                    self.allocator.retain(block)?;
-                    table.push_block(block, take);
-                    self.stats.miss_blocks += 1;
-                    self.stats.miss_tokens += take as u64;
-                }
-                parent_hash = h;
-            } else {
+        for chunk in tokens.chunks(self.block_size) {
+            let take = chunk.len();
+            if take < self.block_size {
                 // Partial tail: never shared.
                 let block = self.allocate_with_eviction()?;
                 table.push_block(block, take);
                 self.stats.miss_tokens += take as u64;
+                break;
             }
-            consumed += take;
+            let h = chain_hash(parent_hash, chunk);
+            self.clock += 1;
+            if let Some(cached) = self.by_hash.get_mut(&h) {
+                cached.last_use = self.clock;
+                let block = cached.block;
+                if self.allocator.refcount(block) == 1 {
+                    self.evictable -= 1;
+                }
+                self.allocator.retain(block)?;
+                table.push_block(block, take);
+                self.stats.hit_blocks += 1;
+                self.stats.hit_tokens += take as u64;
+            } else {
+                let block = self.allocate_with_eviction()?;
+                self.by_hash.insert(
+                    h,
+                    CachedBlock {
+                        block,
+                        last_use: self.clock,
+                    },
+                );
+                // The cache holds one reference; the request another.
+                self.allocator.retain(block)?;
+                table.push_block(block, take);
+                self.stats.miss_blocks += 1;
+                self.stats.miss_tokens += take as u64;
+            }
+            parent_hash = h;
         }
-        Ok(table)
+        Ok(())
     }
 
     /// Appends one decode token to a request's table, allocating a fresh
@@ -307,10 +363,11 @@ impl CacheManager {
         for &block in table.blocks() {
             self.allocator.release(block)?;
             // If only the cache's own reference remains, the block stays
-            // resident for future reuse until evicted.
-            if self.allocator.refcount(block) == 0 {
-                // Block was not cache-owned (partial/decode block): gone.
-                self.hash_of_block.remove(&block);
+            // resident for future reuse until evicted. Only cached blocks
+            // are ever retained past one reference, so a block left at one
+            // is cached; private (partial/decode) blocks fall to zero.
+            if self.allocator.refcount(block) == 1 {
+                self.evictable += 1;
             }
         }
         Ok(())
@@ -345,19 +402,12 @@ impl CacheManager {
             return false;
         };
         self.by_hash.remove(&hash);
-        self.hash_of_block.remove(&block);
         self.allocator
             .release(block)
             .expect("cache-owned reference exists");
+        self.evictable -= 1;
         self.stats.evicted_blocks += 1;
         true
-    }
-
-    fn chain_hash(parent: u64, chunk: &[Token]) -> u64 {
-        let mut h = DefaultHasher::new();
-        parent.hash(&mut h);
-        chunk.hash(&mut h);
-        h.finish()
     }
 }
 
@@ -624,6 +674,80 @@ mod tests {
             .resident_prefix_blocks(&(700..732).collect::<Vec<_>>())
             .is_empty());
         cache.free_sequence(&table).unwrap();
+    }
+
+    #[test]
+    fn failed_insert_releases_what_it_took() {
+        let mut cache = CacheManager::new(4, 16);
+        let held = cache.insert_sequence(&(0..48).collect::<Vec<_>>()).unwrap();
+        // One block is free: the first block of the new prompt takes it,
+        // the second finds nothing free or evictable.
+        let err = cache
+            .insert_sequence(&(100..132).collect::<Vec<_>>())
+            .unwrap_err();
+        assert_eq!(err, AllocError::OutOfBlocks);
+        // The newly cached block is left to the cache alone.
+        assert_eq!(cache.evictable_blocks(), 1);
+        cache.free_sequence(&held).unwrap();
+        assert_eq!(cache.evictable_blocks(), 4);
+        assert_eq!(cache.available_blocks(), 4);
+        // Every block is reclaimable: a four-block prompt fits again.
+        let t = cache
+            .insert_sequence(&(200..264).collect::<Vec<_>>())
+            .unwrap();
+        cache.free_sequence(&t).unwrap();
+        assert_eq!(cache.available_blocks(), 4);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The evictable counter equals a full scan after every operation on
+        /// a tiny pool, failed inserts and appends included, and once every
+        /// sequence is freed the whole pool is obtainable again.
+        #[test]
+        fn evictable_counter_matches_a_full_scan(
+            capacity in 2usize..9,
+            ops in proptest::collection::vec((0u8..4, 0u32..3, 0u32..4, 0u32..6), 1..60),
+        ) {
+            let block = 4;
+            let mut cache = CacheManager::new(capacity, block as usize);
+            let mut held: Vec<BlockTable> = Vec::new();
+            for (i, &(op, stem, blocks, pick)) in ops.iter().enumerate() {
+                // Prompts from three stems, cut at varying lengths, so hits,
+                // partial tails and pool exhaustion are all common.
+                let len = blocks * block + pick % 3;
+                let tokens: Vec<Token> = (0..len).map(|t| stem * 1000 + t).collect();
+                match op {
+                    0 => {
+                        if let Ok(t) = cache.insert_sequence(&tokens) {
+                            held.push(t);
+                        }
+                    }
+                    1 if !held.is_empty() => {
+                        let t = held.swap_remove(pick as usize % held.len());
+                        cache.free_sequence(&t).unwrap();
+                    }
+                    2 if !held.is_empty() => {
+                        let n = held.len();
+                        let _ = cache.append_token(&mut held[pick as usize % n]);
+                    }
+                    _ => {
+                        cache.ingest_prefix(&tokens);
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    cache.evictable_blocks(),
+                    cache.evictable_blocks_by_scan(),
+                    "after op {}", i
+                );
+            }
+            for t in held.drain(..) {
+                cache.free_sequence(&t).unwrap();
+            }
+            proptest::prop_assert_eq!(cache.evictable_blocks(), cache.evictable_blocks_by_scan());
+            proptest::prop_assert_eq!(cache.available_blocks(), capacity);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod stats;
 
 pub use allocator::{AllocError, BlockAllocator};
 pub use block::{BlockId, BlockTable, DEFAULT_BLOCK_SIZE};
-pub use cache_manager::{CacheManager, CacheStats, IngestReport, Token};
+pub use cache_manager::{chain_hashes, CacheManager, CacheStats, IngestReport, Token};
 pub use prefix_tree::{PrefixForest, PrefixNode};
 pub use radix::{RadixCache, RadixStats};
 pub use stats::BatchPrefixStats;

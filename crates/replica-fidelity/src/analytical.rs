@@ -367,8 +367,8 @@ impl ReplicaModel for AnalyticalReplica {
         self.prefix.block_size()
     }
 
-    fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize {
-        self.prefix.overlap_tokens(prompt_tokens)
+    fn chain_overlap_tokens(&self, chain: &[u64]) -> usize {
+        self.prefix.chain_overlap_tokens(chain)
     }
 
     fn cache_hit_miss_tokens(&self) -> (u64, u64) {
@@ -376,9 +376,11 @@ impl ReplicaModel for AnalyticalReplica {
     }
 
     fn resident_block_hashes(&self) -> Vec<u64> {
-        // PrefixStore hashes are not comparable with CacheManager block
-        // hashes, so analytical replicas opt out of cross-replica
-        // duplication accounting rather than pollute it.
+        // PrefixStore keys blocks by the same `kv_cache::chain_hashes` as
+        // CacheManager, so the hashes would be comparable. Analytical
+        // replicas still opt out of cross-replica duplication accounting:
+        // reporting them would change the duplication figures of every
+        // committed fleet artifact with analytical replicas in it.
         Vec::new()
     }
 

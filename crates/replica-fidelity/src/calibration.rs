@@ -42,6 +42,7 @@ use serde::{Deserialize, Serialize};
 use serving::ModelSpec;
 use sim_core::cast::usize_to_u32;
 use sim_gpu::{GpuModel, GpuSpec};
+use std::sync::OnceLock;
 
 /// Documented relative-error bound of the analytical fidelity: on seeded
 /// small fleets, analytical fleet-level mean TTFT and mean TPOT stay
@@ -144,12 +145,18 @@ impl CalibrationTable {
     /// The table committed at `crates/replica-fidelity/calibration.json`.
     /// A parse failure yields an empty table (every lookup then falls back
     /// to the roofline); the drift test pins the committed bytes, so this
-    /// path is unreachable in a healthy checkout.
+    /// path is unreachable in a healthy checkout. Parsed once per process:
+    /// every analytical replica a fleet builds reads it.
     pub fn committed() -> CalibrationTable {
-        serde_json::from_str(COMMITTED_JSON).unwrap_or(CalibrationTable {
-            version: 1,
-            entries: Vec::new(),
-        })
+        static COMMITTED: OnceLock<CalibrationTable> = OnceLock::new();
+        COMMITTED
+            .get_or_init(|| {
+                serde_json::from_str(COMMITTED_JSON).unwrap_or(CalibrationTable {
+                    version: 1,
+                    entries: Vec::new(),
+                })
+            })
+            .clone()
     }
 
     /// Finds the entry for `key`, preferring the PAT backend.

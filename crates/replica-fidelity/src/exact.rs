@@ -78,8 +78,8 @@ impl ReplicaModel for ExactReplica {
         self.engine.cache().block_size()
     }
 
-    fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize {
-        self.engine.cache().prefix_overlap_tokens(prompt_tokens)
+    fn chain_overlap_tokens(&self, chain: &[u64]) -> usize {
+        self.engine.cache().chain_overlap_tokens(chain)
     }
 
     fn cache_hit_miss_tokens(&self) -> (u64, u64) {

@@ -55,8 +55,10 @@ pub trait ReplicaModel: Send + std::fmt::Debug {
     fn block_size(&self) -> usize;
 
     /// Leading prompt tokens this replica would serve without
-    /// recomputation. Read-only: never perturbs cache recency.
-    fn prefix_overlap_tokens(&self, prompt_tokens: &[Token]) -> usize;
+    /// recomputation, given the prompt's [`kv_cache::chain_hashes`] at
+    /// [`ReplicaModel::block_size`]. Read-only: never perturbs cache
+    /// recency. Callers probing many replicas hash the prompt once.
+    fn chain_overlap_tokens(&self, chain: &[u64]) -> usize;
 
     /// Token-level prefix-cache `(hit, miss)` counters so far.
     fn cache_hit_miss_tokens(&self) -> (u64, u64);
