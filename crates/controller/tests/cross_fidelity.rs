@@ -3,8 +3,8 @@
 //! simulation).
 //!
 //! - Analytical fleet aggregates (TTFT/TPOT) stay within the documented
-//!   relative-error bound of Exact on seeded small fleets, fault-free and
-//!   through a crash with failover.
+//!   relative-error bound of Exact on seeded small fleets, fault-free,
+//!   with chunked prefill, and through a crash with failover.
 //! - A mixed-fidelity fleet (hot replicas exact, cold ones analytical)
 //!   still conserves every request and stays byte-identical across
 //!   `PAT_SIM_THREADS`.
@@ -111,6 +111,25 @@ fn analytical_fleet_aggregates_stay_within_error_bound() {
         let analytical = run_at(config, Fidelity::Analytical, FaultPlan::none(), &requests);
         assert_within_bound(&format!("{kind:?}"), &exact, &analytical);
     }
+
+    // Chunked prefill: both fidelities run the same chunked scheduler.
+    let requests = generate_trace(TraceConfig {
+        kind: TraceKind::Conversation,
+        rate_per_s: 8.0,
+        duration_s: 6.0,
+        seed: 7,
+    });
+    let mut serving = engine_config();
+    serving.chunked_prefill = true;
+    let config = ControllerConfig::static_fleet(4, serving);
+    let exact = run_at(
+        config.clone(),
+        Fidelity::Exact,
+        FaultPlan::none(),
+        &requests,
+    );
+    let analytical = run_at(config, Fidelity::Analytical, FaultPlan::none(), &requests);
+    assert_within_bound("chunked prefill", &exact, &analytical);
 
     // The fig_failover shape in miniature: a managed fleet (autoscaler,
     // admission control) serving toolagent at 12 req/s loses replica 0

@@ -1,37 +1,30 @@
 //! The analytical fidelity: closed-form replica timing, no kernel sim.
 //!
-//! [`AnalyticalReplica`] reproduces the serving engine's *scheduling*
-//! behavior — prefill-priority admission with the vLLM KV watermark,
-//! continuous batching, recompute preemption under KV pressure, drain
-//! limits — but prices every step with closed forms instead of simulating
-//! kernels: prefill from the engine's own FLOPs/bandwidth roofline
-//! ([`serving::CostModel::prefill_ns`]), decode attention from the fitted
-//! [`crate::calibration`] coefficients, and the non-attention linear parts
-//! from [`serving::CostModel::decode_linear_ns`] — the same formula shape
-//! the exact engine uses, with the kernel-simulated report replaced by the
-//! calibrated closed form. A decode step costs O(batch) arithmetic.
+//! [`crate::AnalyticalReplica`] runs the serving crate's one
+//! continuous-batching [`serving::Scheduler`] — watermark admission,
+//! prefill-priority or chunked prefill, recompute preemption under KV
+//! pressure, drain limits — over [`CountedKv`], which keeps only what
+//! differs from the exact fidelity:
+//! KV as block-count arithmetic (no block tables), prefix warmth in a
+//! bounded [`PrefixStore`] of block-chain hashes, and decode attention
+//! priced by the fitted [`crate::calibration`] closed form instead of a
+//! kernel simulation. The scheduler wraps that price in the same step
+//! formula the exact engine uses, so a decode step costs O(batch)
+//! arithmetic.
 //!
-//! KV bookkeeping is block-count arithmetic (no block tables): each active
-//! request pins `ceil(context / block_size)` blocks, and prefix warmth
-//! lives in a bounded [`PrefixStore`] of block-chain hashes. Divergences
-//! from exact fidelity are therefore: (a) timing is linear in batch and
-//! KV-bytes rather than kernel-simulated, (b) block sharing between
-//! concurrent same-prefix requests is not modeled (admission is slightly
-//! conservative), and (c) chunked prefill is approximated by
-//! prefill-priority scheduling. Fleet-level mean TTFT/TPOT stay within
+//! Divergences from exact fidelity are therefore: (a) attention timing is
+//! linear in batch and KV bytes rather than kernel-simulated, and (b)
+//! block sharing between concurrent same-prefix requests is not modeled
+//! (admission is slightly conservative). Prefix hits are the store's
+//! intact-prefix cover; like the paged cache, each append attempt counts
+//! one missed token. Fleet-level mean TTFT/TPOT stay within
 //! [`crate::ANALYTICAL_REL_ERROR_BOUND`] of exact on the validation
 //! scenarios; see DESIGN.md §2e for when this fidelity is sound.
 
-use crate::calibration::{key_for, shard_head, AttnCalibration, CalibrationTable};
-use crate::{Fidelity, PrefixStore, ReplicaModel};
-use kv_cache::{CacheManager, IngestReport, Token, DEFAULT_BLOCK_SIZE};
-use serving::{
-    AggregateMetrics, CostModel, RequestMetrics, ServingConfig, SimulationResult, StepOutcome,
-    StepSimStats,
-};
-use sim_core::{SimDuration, SimTime};
-use std::collections::VecDeque;
-use workloads::Request;
+use crate::calibration::{key_for, AttnCalibration, CalibrationTable};
+use crate::{Fidelity, PrefixStore, ReplicaKv};
+use kv_cache::{AllocError, IngestReport, Token, DEFAULT_BLOCK_SIZE};
+use serving::{AttnPrice, EngineError, KvModel, Running, ServingConfig};
 
 /// Blocks of prefix warmth an analytical replica tracks (bounded so a
 /// 1k-replica fleet stays within a few hundred MB; the real KV pool is
@@ -39,339 +32,125 @@ use workloads::Request;
 /// sets).
 pub const ANALYTICAL_PREFIX_STORE_BLOCKS: usize = 65_536;
 
-#[derive(Debug, Clone)]
-struct ActiveLite {
-    req_idx: usize,
-    produced: usize,
-    target: usize,
-    context_tokens: usize,
-    blocks: usize,
-    first_token: SimTime,
-    arrival: SimTime,
-}
-
-/// A replica priced entirely by closed-form cost models.
+/// The analytical fidelity's [`KvModel`]: a block-counted KV pool, a
+/// [`PrefixStore`] for warmth, and an [`AttnCalibration`] for prices.
 #[derive(Debug)]
-pub struct AnalyticalReplica {
-    config: ServingConfig,
-    cost: CostModel,
+pub struct CountedKv {
     attn: AttnCalibration,
-    layers_per_stage: usize,
     prefix: PrefixStore,
-    requests: Vec<Request>,
-    waiting: VecDeque<usize>,
-    active: Vec<ActiveLite>,
-    completed: Vec<RequestMetrics>,
-    next_arrival: usize,
-    clock: SimTime,
-    decode_steps: usize,
-    batch_acc: usize,
-    attn_time: SimDuration,
-    total_time: SimDuration,
-    preemptions: u64,
-    dropped: u64,
-    speed_factor: f64,
-    draining: bool,
-    used_blocks: usize,
+    capacity: usize,
+    used: usize,
 }
 
-impl AnalyticalReplica {
-    /// A fresh analytical replica. Attention coefficients come from the
-    /// committed calibration table when the (model, GPU) pair is fitted,
-    /// otherwise from the first-principles roofline fallback.
-    pub fn new(config: ServingConfig) -> Self {
-        let tp = config.parallel.tp;
-        let head = shard_head(&config.model, tp);
-        let key = key_for(head, &config.gpu);
+/// The KV one request holds in a [`CountedKv`] pool.
+#[derive(Debug)]
+pub struct CountedSeq {
+    tokens: usize,
+    blocks: usize,
+}
+
+impl CountedKv {
+    /// An empty pool of `config.kv_capacity_blocks` blocks. Attention
+    /// coefficients come from the committed calibration table when the
+    /// (model, GPU) pair is fitted, otherwise from the first-principles
+    /// roofline fallback.
+    pub fn new(config: &ServingConfig) -> Self {
+        let head = config.model.shard_head(config.parallel.tp);
         let attn = CalibrationTable::committed()
-            .lookup(&key)
+            .lookup(&key_for(head, &config.gpu))
             .cloned()
             .unwrap_or_else(|| AttnCalibration::roofline(head, &config.gpu, 2));
-        let cost = CostModel::with_tp(config.model, config.gpu.clone(), tp);
-        let layers_per_stage = config.model.num_layers.div_ceil(config.parallel.pp);
         let prefix_blocks = config
             .kv_capacity_blocks
             .min(ANALYTICAL_PREFIX_STORE_BLOCKS);
-        AnalyticalReplica {
-            prefix: PrefixStore::new(prefix_blocks, DEFAULT_BLOCK_SIZE),
-            cost,
+        CountedKv {
             attn,
-            layers_per_stage,
-            config,
-            requests: Vec::new(),
-            waiting: VecDeque::new(),
-            active: Vec::new(),
-            completed: Vec::new(),
-            next_arrival: 0,
-            clock: SimTime::ZERO,
-            decode_steps: 0,
-            batch_acc: 0,
-            attn_time: SimDuration::ZERO,
-            total_time: SimDuration::ZERO,
-            preemptions: 0,
-            dropped: 0,
-            speed_factor: 1.0,
-            draining: false,
-            used_blocks: 0,
+            prefix: PrefixStore::new(prefix_blocks, DEFAULT_BLOCK_SIZE),
+            capacity: config.kv_capacity_blocks,
+            used: 0,
         }
-    }
-
-    /// The attention calibration pricing this replica's decode steps.
-    pub fn calibration(&self) -> &AttnCalibration {
-        &self.attn
-    }
-
-    fn deadline(&self) -> SimTime {
-        self.requests
-            .last()
-            .map_or(SimTime::ZERO, |r| SimTime::from_secs_f64(r.arrival_s))
-            + SimDuration::from_secs_f64(self.config.drain_limit_s)
-    }
-
-    /// Frees the most recently arrived active request and requeues it for
-    /// recompute (the engine's preemption policy). Returns its index.
-    fn preempt_latest(&mut self) -> Option<usize> {
-        let victim = self
-            .active
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, a)| a.arrival)?
-            .0;
-        let a = self.active.swap_remove(victim);
-        self.used_blocks = self.used_blocks.saturating_sub(a.blocks);
-        self.waiting.push_front(a.req_idx);
-        Some(a.req_idx)
-    }
-
-    fn complete(&mut self, a: ActiveLite) {
-        self.used_blocks = self.used_blocks.saturating_sub(a.blocks);
-        let gaps = (a.produced - 1).max(1) as f64;
-        self.completed.push(RequestMetrics {
-            request_id: self.requests[a.req_idx].id,
-            ttft_ns: (a.first_token - a.arrival).as_ns_f64(),
-            tpot_ns: (self.clock - a.first_token).as_ns_f64() / gaps,
-            completion_ns: (self.clock - a.arrival).as_ns_f64(),
-            decode_tokens: a.produced,
-        });
     }
 }
 
-impl ReplicaModel for AnalyticalReplica {
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Analytical
-    }
-
-    fn submit(&mut self, request: Request) {
-        assert!(!self.draining, "cannot submit to a draining replica");
-        if let Some(last) = self.requests.last() {
-            assert!(
-                last.arrival_s <= request.arrival_s,
-                "requests must be submitted in arrival order"
-            );
-        }
-        self.requests.push(request);
-    }
-
-    fn step(&mut self) -> StepOutcome {
-        // Admit arrivals onto the integer spine, exactly as the engine does.
-        while self.next_arrival < self.requests.len()
-            && SimTime::from_secs_f64(self.requests[self.next_arrival].arrival_s) <= self.clock
-        {
-            self.waiting.push_back(self.next_arrival);
-            self.next_arrival += 1;
-        }
-        if self.active.is_empty() && self.waiting.is_empty() {
-            if self.next_arrival >= self.requests.len() {
-                return StepOutcome::Idle;
-            }
-            self.clock = SimTime::from_secs_f64(self.requests[self.next_arrival].arrival_s);
-            return StepOutcome::Progress;
-        }
-        if self.clock > self.deadline() {
-            return StepOutcome::Idle;
-        }
-
-        let bs = self.prefix.block_size();
-        let capacity = self.config.kv_capacity_blocks;
-        // Prefill-priority admission with the vLLM watermark, mirrored from
-        // the exact engine (block counts instead of an allocator).
-        if !self.waiting.is_empty() && self.active.len() < self.config.max_batch {
-            let mut chunk_tokens = 0usize;
-            let mut admitted: Vec<(usize, usize)> = Vec::new();
-            let mut budget_blocks = capacity.saturating_sub(self.used_blocks);
-            while let Some(&idx) = self.waiting.front() {
-                let req = &self.requests[idx];
-                let budget = self
-                    .config
-                    .model
-                    .max_context
-                    .saturating_sub(req.decode_tokens)
-                    .max(16);
-                let prompt_tokens = req.prompt.total_tokens().min(budget);
-                if self.active.len() + admitted.len() >= self.config.max_batch
-                    || (chunk_tokens + prompt_tokens > self.config.max_prefill_tokens
-                        && !admitted.is_empty())
-                {
-                    break;
-                }
-                let needed = prompt_tokens.div_ceil(bs) + req.decode_tokens.div_ceil(bs) + 2;
-                if needed > capacity {
-                    self.waiting.pop_front();
-                    self.dropped += 1;
-                    continue;
-                }
-                let engine_busy = !self.active.is_empty() || !admitted.is_empty();
-                if needed > budget_blocks && engine_busy {
-                    break;
-                }
-                budget_blocks = budget_blocks.saturating_sub(needed);
-                self.waiting.pop_front();
-                chunk_tokens += prompt_tokens;
-                admitted.push((idx, prompt_tokens));
-                if chunk_tokens >= self.config.max_prefill_tokens {
-                    break;
-                }
-            }
-            if !admitted.is_empty() {
-                let mut computed_tokens = 0usize;
-                for &(idx, prompt_tokens) in &admitted {
-                    let tokens = self.requests[idx].prompt.to_tokens();
-                    let hit = self.prefix.insert_sequence(&tokens[..prompt_tokens]);
-                    computed_tokens += prompt_tokens.saturating_sub(hit).max(1);
-                }
-                self.clock += SimDuration::from_ns_f64(
-                    self.cost.prefill_ns(computed_tokens) / self.speed_factor,
-                );
-                for (idx, prompt_tokens) in admitted {
-                    let req = &self.requests[idx];
-                    let arrival = SimTime::from_secs_f64(req.arrival_s);
-                    if req.decode_tokens <= 1 {
-                        let latency = (self.clock - arrival).as_ns_f64();
-                        self.completed.push(RequestMetrics {
-                            request_id: req.id,
-                            ttft_ns: latency,
-                            tpot_ns: 0.0,
-                            completion_ns: latency,
-                            decode_tokens: 1,
-                        });
-                    } else {
-                        let blocks = prompt_tokens.div_ceil(bs);
-                        self.used_blocks += blocks;
-                        let target = req.decode_tokens;
-                        self.active.push(ActiveLite {
-                            req_idx: idx,
-                            produced: 1,
-                            target,
-                            context_tokens: prompt_tokens,
-                            blocks,
-                            first_token: self.clock,
-                            arrival,
-                        });
-                    }
-                }
-                return StepOutcome::Progress;
-            }
-        }
-        if self.active.is_empty() {
-            // Everything waiting was dropped or nothing is admissible yet.
-            return StepOutcome::Progress;
-        }
-
-        // Decode step: closed-form pricing with the exact engine's step
-        // formula, the kernel-simulated report replaced by the calibration.
-        let batch = self.active.len();
-        let kv_total: u64 = self.active.iter().map(|a| a.context_tokens as u64).sum();
-        let kv_max: u64 = self
-            .active
-            .iter()
-            .map(|a| a.context_tokens as u64)
-            .max()
-            .unwrap_or(0);
-        let kernel_ns = self.attn.kernel_ns(batch, kv_total, kv_max);
-        let sched_ns = self.attn.sched_ns(batch);
-        let attention_ns =
-            (kernel_ns * self.config.model.num_layers as f64 + sched_ns) / self.speed_factor;
-        let pp = self.config.parallel.pp;
-        let linear_ns = self.cost.decode_linear_ns(batch, self.layers_per_stage) * pp as f64;
-        let pp_transfer_ns = (pp - 1) as f64
-            * (8_000.0 + batch as f64 * self.config.model.hidden as f64 * 2.0 / 300.0);
-        let step_ns = attention_ns + (linear_ns + pp_transfer_ns) / self.speed_factor;
-        let step = SimDuration::from_ns_f64(step_ns);
-        self.clock += step;
-        self.decode_steps += 1;
-        self.batch_acc += batch;
-        self.attn_time += SimDuration::from_ns_f64(attention_ns);
-        self.total_time += step;
-        self.prefix.note_decode_tokens(batch as u64);
-
-        // Grow each request by one token, preempting the youngest under KV
-        // pressure (the engine's recompute policy, on block arithmetic).
-        let mut i = 0;
-        while i < self.active.len() {
-            let my_req = self.active[i].req_idx;
-            let mut appended = false;
-            while let Some(pos) = self.active.iter().position(|a| a.req_idx == my_req) {
-                i = pos;
-                let needs_block = self.active[i]
-                    .context_tokens
-                    .is_multiple_of(self.prefix.block_size());
-                if !needs_block || self.used_blocks < capacity {
-                    self.active[i].context_tokens += 1;
-                    if needs_block {
-                        self.active[i].blocks += 1;
-                        self.used_blocks += 1;
-                    }
-                    appended = true;
-                    break;
-                }
-                self.preemptions += 1;
-                if self.preempt_latest().is_none() {
-                    break;
-                }
-            }
-            if !appended {
-                continue;
-            }
-            self.active[i].produced += 1;
-            if self.active[i].produced >= self.active[i].target {
-                let a = self.active.swap_remove(i);
-                self.complete(a);
-            } else {
-                i += 1;
-            }
-        }
-        StepOutcome::Progress
-    }
-
-    fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.waiting.len()
-    }
-
-    fn num_active(&self) -> usize {
-        self.active.len()
-    }
-
-    fn outstanding(&self) -> usize {
-        self.waiting.len() + self.active.len() + (self.requests.len() - self.next_arrival)
-    }
-
-    fn cache(&self) -> Option<&CacheManager> {
-        None
-    }
+impl KvModel for CountedKv {
+    type Seq = CountedSeq;
+    type Attention<'a> = ();
 
     fn block_size(&self) -> usize {
         self.prefix.block_size()
+    }
+
+    fn capacity_blocks(&self) -> usize {
+        self.capacity
+    }
+
+    fn available_blocks(&self) -> usize {
+        self.capacity.saturating_sub(self.used)
+    }
+
+    fn admit(&mut self, prompt: &[Token]) -> Result<(CountedSeq, usize), AllocError> {
+        let blocks = prompt.len().div_ceil(self.block_size());
+        if self.used + blocks > self.capacity {
+            return Err(AllocError::OutOfBlocks);
+        }
+        let hit_tokens = self.prefix.insert_sequence(prompt);
+        self.used += blocks;
+        let seq = CountedSeq {
+            tokens: prompt.len(),
+            blocks,
+        };
+        Ok((seq, hit_tokens))
+    }
+
+    fn append(&mut self, seq: &mut CountedSeq) -> Result<(), AllocError> {
+        // Like `CacheManager::append_token`: every attempt is a missed token.
+        self.prefix.note_decode_tokens(1);
+        if seq.tokens.is_multiple_of(self.block_size()) {
+            if self.used >= self.capacity {
+                return Err(AllocError::OutOfBlocks);
+            }
+            seq.blocks += 1;
+            self.used += 1;
+        }
+        seq.tokens += 1;
+        Ok(())
+    }
+
+    fn free(&mut self, seq: CountedSeq) -> Result<(), AllocError> {
+        self.used = self.used.saturating_sub(seq.blocks);
+        Ok(())
     }
 
     fn chain_overlap_tokens(&self, chain: &[u64]) -> usize {
         self.prefix.chain_overlap_tokens(chain)
     }
 
-    fn cache_hit_miss_tokens(&self) -> (u64, u64) {
+    fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport {
+        self.prefix.ingest_prefix(tokens)
+    }
+
+    fn price_decode(
+        &mut self,
+        _attention: &mut (),
+        batch: &[Running<CountedSeq>],
+    ) -> Result<AttnPrice, EngineError> {
+        let (mut kv_total, mut kv_max) = (0u64, 0u64);
+        for r in batch {
+            kv_total += r.seq.tokens as u64;
+            kv_max = kv_max.max(r.seq.tokens as u64);
+        }
+        Ok(AttnPrice {
+            kernel_ns: self.attn.kernel_ns(batch.len(), kv_total, kv_max),
+            sched_ns: self.attn.sched_ns(batch.len()),
+            scheduler_run_ns: None,
+        })
+    }
+}
+
+impl ReplicaKv for CountedKv {
+    const FIDELITY: Fidelity = Fidelity::Analytical;
+
+    fn hit_miss_tokens(&self) -> (u64, u64) {
         self.prefix.hit_miss_tokens()
     }
 
@@ -383,93 +162,14 @@ impl ReplicaModel for AnalyticalReplica {
         // committed fleet artifact with analytical replicas in it.
         Vec::new()
     }
-
-    fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport {
-        self.prefix.ingest_prefix(tokens)
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    fn completed_requests(&self) -> &[RequestMetrics] {
-        &self.completed
-    }
-
-    fn set_speed_factor(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "speed factor must be positive and finite"
-        );
-        self.speed_factor = factor;
-    }
-
-    fn speed_factor(&self) -> f64 {
-        self.speed_factor
-    }
-
-    fn begin_drain(&mut self) {
-        self.draining = true;
-    }
-
-    fn is_draining(&self) -> bool {
-        self.draining
-    }
-
-    fn take_incomplete(&mut self) -> Vec<Request> {
-        let mut indices: Vec<usize> = Vec::new();
-        for a in self.active.drain(..) {
-            indices.push(a.req_idx);
-        }
-        self.used_blocks = 0;
-        indices.extend(self.waiting.drain(..));
-        indices.extend(self.next_arrival..self.requests.len());
-        self.next_arrival = self.requests.len();
-        indices.sort_unstable();
-        indices.dedup();
-        indices
-            .into_iter()
-            .map(|i| self.requests[i].clone())
-            .collect()
-    }
-
-    fn step_sim_stats(&self) -> StepSimStats {
-        StepSimStats::default()
-    }
-
-    fn into_result(self: Box<Self>) -> SimulationResult {
-        SimulationResult {
-            metrics: AggregateMetrics::from_requests(&self.completed),
-            per_request: self.completed,
-            decode_steps: self.decode_steps,
-            mean_batch: if self.decode_steps == 0 {
-                0.0
-            } else {
-                self.batch_acc as f64 / self.decode_steps as f64
-            },
-            attention_fraction: if self.total_time == SimDuration::ZERO {
-                0.0
-            } else {
-                self.attn_time.as_ns_f64() / self.total_time.as_ns_f64()
-            },
-            overhead_samples: Vec::new(),
-            step_sim: StepSimStats::default(),
-            unfinished: self.active.len()
-                + self.waiting.len()
-                + (self.requests.len() - self.next_arrival),
-            preemptions: self.preemptions,
-            dropped: self.dropped,
-            plan_error: None,
-            fault: None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serving::ModelSpec;
-    use workloads::PromptSpec;
+    use crate::{AnalyticalReplica, ReplicaModel};
+    use serving::{ModelSpec, Scheduler, StepOutcome};
+    use workloads::{PromptSpec, Request};
 
     fn config() -> ServingConfig {
         ServingConfig::single_gpu(ModelSpec::llama3_8b())
@@ -562,6 +262,41 @@ mod tests {
         let result = Box::new(r).into_result();
         assert_eq!(result.per_request.len() + result.unfinished, 6);
         assert!(result.preemptions > 0, "tiny pool must preempt");
+    }
+
+    #[test]
+    fn chunked_prefill_under_kv_pressure_conserves_requests_and_blocks() {
+        let mut cfg = config();
+        cfg.kv_capacity_blocks = 200;
+        cfg.max_prefill_tokens = 512;
+        cfg.chunked_prefill = true;
+        let counted = || {
+            let mut s = Scheduler::with_kv(cfg.clone(), CountedKv::new(&cfg));
+            for i in 0..12u64 {
+                let decode = if i % 4 == 0 { 1 } else { 256 };
+                s.submit(request(i, i as f64 * 0.01, 300 + 40 * i as usize, decode));
+            }
+            s
+        };
+        let mut s = counted();
+        while s.step(&mut ()) == StepOutcome::Progress {}
+        assert_eq!(s.kv().used, 0, "finished replica still holds blocks");
+        let result = s.into_result();
+        assert_eq!(result.per_request.len(), 12);
+        assert_eq!(result.unfinished, 0);
+        assert!(result.preemptions > 0, "tiny pool must preempt");
+        assert_eq!(result.fault, None);
+
+        // A failover mid-prefill frees every held block and loses nothing.
+        let mut s = counted();
+        while s.queue_depth() == 0 || s.num_active() == 0 {
+            s.step(&mut ());
+        }
+        assert!(s.kv().used > 0);
+        let completed = s.completed_requests().len();
+        let incomplete = s.take_incomplete();
+        assert_eq!(completed + incomplete.len(), 12);
+        assert_eq!(s.kv().used, 0, "failover leaked blocks");
     }
 
     #[test]

@@ -11,16 +11,19 @@
 //! fleet observes about it*. The [`ReplicaModel`] trait captures the exact
 //! surface the `cluster` and `controller` drivers consume — submit / step /
 //! clock / queue depths / prefix probes / drain / metrics — and two
-//! interchangeable backends implement it:
+//! interchangeable backends implement it. Both run the serving crate's one
+//! continuous-batching [`serving::Scheduler`]; they differ only in the
+//! [`serving::KvModel`] it is instantiated with:
 //!
-//! - [`ExactReplica`] — today's full [`serving::ServingEngine`] over the
-//!   kernel simulator. Token-exact timing; the reference.
-//! - [`AnalyticalReplica`] — no kernel simulator at all: decode-attention
-//!   time comes from a closed-form model fitted offline against exact-sim
-//!   samples (the committed [`calibration`] table), prefill from the same
-//!   FLOPs/bandwidth roofline the engine itself uses, and prefix warmth
-//!   from a block-hash [`PrefixStore`] that mirrors the real KV cache at
-//!   block granularity. O(batch) arithmetic per decode step.
+//! - [`ExactReplica`] — the full [`serving::ServingEngine`]: a paged KV
+//!   cache, decode steps planned and priced on the kernel simulator.
+//!   Token-exact timing; the reference.
+//! - [`AnalyticalReplica`] — no kernel simulator at all: KV is block-count
+//!   arithmetic, decode-attention time comes from a closed-form model
+//!   fitted offline against exact-sim samples (the committed
+//!   [`calibration`] table), and prefix warmth lives in a block-hash
+//!   [`PrefixStore`] keyed like the real KV cache. O(batch) arithmetic per
+//!   decode step.
 //!
 //! Both run on the integer-nanosecond spine ([`sim_core::SimTime`])
 //! and are advanced by fleet drivers on `sim_core::par` workers, so fleet
@@ -34,16 +37,14 @@
 
 mod analytical;
 pub mod calibration;
-mod exact;
 mod fidelity;
 mod model;
 mod prefix_store;
 
-pub use analytical::AnalyticalReplica;
+pub use analytical::CountedKv;
 pub use calibration::{
     AttnCalibration, CalibrationTable, ANALYTICAL_REL_ERROR_BOUND, KERNEL_FIT_REL_ERR_BOUND,
 };
-pub use exact::ExactReplica;
 pub use fidelity::{fidelity_from_env, Fidelity, FIDELITY_ENV};
-pub use model::{new_replica, ReplicaModel};
+pub use model::{new_replica, AnalyticalReplica, ExactReplica, Replica, ReplicaKv, ReplicaModel};
 pub use prefix_store::PrefixStore;

@@ -100,6 +100,13 @@ impl CostModel {
             + self.allreduce_ns(t) * self.model.num_layers as f64
     }
 
+    /// Activation hand-off time of one decode step of `batch` requests
+    /// across `pp` pipeline stages: each of the `pp - 1` boundaries costs
+    /// 8 us of latency plus the batch's fp16 hidden states at ~300 GB/s, ns.
+    pub fn pp_transfer_ns(&self, batch: usize, pp: usize) -> f64 {
+        (pp - 1) as f64 * (8_000.0 + batch as f64 * self.model.hidden as f64 * 2.0 / 300.0)
+    }
+
     /// Marginal cost of piggybacking `tokens` prefill tokens onto a decode
     /// step (chunked prefill): the weights are already being streamed for
     /// the decode GEMMs, so only the extra tensor-core work is paid.

@@ -1,29 +1,35 @@
-//! The continuous-batching serving engine (vLLM-style, §8.4).
+//! The continuous-batching scheduler (vLLM-style, §8.4).
 //!
 //! Simulates online serving in virtual time: requests arrive (Poisson),
 //! prefills admit them into the running batch (prefix-reusing KV cache),
-//! and every decode step plans attention through the configured backend,
-//! prices it on the GPU simulator, and advances the clock. Produces the
-//! TTFT/TPOT metrics of Fig. 12/13 and the scheduler-overhead samples of
-//! Fig. 16.
+//! and every decode step prices its attention and advances the clock.
+//! Produces the TTFT/TPOT metrics of Fig. 12/13 and the scheduler-overhead
+//! samples of Fig. 16.
+//!
+//! [`Scheduler`] holds every scheduling rule — watermark admission,
+//! prefill-priority or chunked prefill, continuous batching, youngest-first
+//! recompute preemption, the decode-step price formula, drain and failover
+//! — once, generic over one seam, [`KvModel`]: how a replica holds and
+//! counts KV blocks and how it prices a decode step's attention.
+//! [`ServingEngine`] is the scheduler over the paged KV cache and the
+//! kernel simulator (the exact fidelity); the `replica-fidelity` crate runs
+//! the same scheduler over counted blocks and a calibrated closed form.
 //!
 //! The engine is exposed in two forms: the one-shot [`simulate_serving`]
 //! (submit a whole sorted trace, run to completion) and the steppable
-//! [`ServingEngine`], which external drivers — notably the multi-replica
-//! cluster simulator — advance one scheduling iteration at a time via
-//! [`ServingEngine::step`], interleaving [`ServingEngine::submit`] calls as
-//! routed requests arrive. `simulate_serving` is a thin wrapper over the
-//! steppable engine, so both paths execute identical scheduling decisions.
+//! [`ServingEngine`], which external drivers — notably the fleet
+//! controller — advance one scheduling iteration at a time via
+//! [`Scheduler::step`], interleaving [`Scheduler::submit`] calls as routed
+//! requests arrive. `simulate_serving` is a thin wrapper over the steppable
+//! engine, so both paths execute identical scheduling decisions.
 
-use crate::attention::ServingAttention;
 use crate::costs::CostModel;
 use crate::metrics::{AggregateMetrics, RequestMetrics};
 use crate::model::ModelSpec;
-use attn_kernel::{batch_timing_fingerprint, simulate_plan_trusted, DecodeBatch};
-use attn_kernel::{StepSimCache, StepSimReport, StepSimStats};
-use attn_math::HeadConfig;
-use kv_cache::{AllocError, BlockTable, CacheManager, DEFAULT_BLOCK_SIZE};
-use pat_core::PlanReuse;
+use crate::paged::PagedKv;
+use crate::ServingAttention;
+use attn_kernel::StepSimStats;
+use kv_cache::{AllocError, IngestReport, Token};
 use serde::Serialize;
 use sim_core::{SimDuration, SimTime};
 use sim_gpu::{gpu_model_from_env, GpuSpec};
@@ -166,7 +172,7 @@ impl std::fmt::Display for EngineError {
     }
 }
 
-/// What one [`ServingEngine::step`] call accomplished.
+/// What one [`Scheduler::step`] call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
     /// The engine advanced: admitted requests, ran a prefill or decode step,
@@ -177,39 +183,120 @@ pub enum StepOutcome {
     Idle,
 }
 
+/// The fidelity seam of [`Scheduler`]: how a replica holds and counts KV
+/// blocks, and how it prices a decode step's attention. Everything else is
+/// the scheduler's, written once for every fidelity.
+pub trait KvModel {
+    /// The KV one prefilling or decoding request holds.
+    type Seq: std::fmt::Debug;
+    /// What pricing a decode step borrows from the caller of
+    /// [`Scheduler::step`]: the attention backend, or `()` for a model
+    /// that plans nothing.
+    type Attention<'a>: ?Sized;
+
+    /// Tokens per KV block.
+    fn block_size(&self) -> usize;
+
+    /// Blocks in the whole pool.
+    fn capacity_blocks(&self) -> usize;
+
+    /// Blocks obtainable right now.
+    fn available_blocks(&self) -> usize;
+
+    /// Places a prompt's KV. Returns the request's holding and how many
+    /// leading prompt tokens were already resident (the prefill discount),
+    /// or [`AllocError::OutOfBlocks`] when the pool cannot hold the prompt.
+    fn admit(&mut self, prompt: &[Token]) -> Result<(Self::Seq, usize), AllocError>;
+
+    /// Grows a holding by one decode token, or fails with
+    /// [`AllocError::OutOfBlocks`] (the scheduler preempts and retries).
+    fn append(&mut self, seq: &mut Self::Seq) -> Result<(), AllocError>;
+
+    /// Releases a holding; an error is a bookkeeping fault.
+    fn free(&mut self, seq: Self::Seq) -> Result<(), AllocError>;
+
+    /// Leading prompt tokens resident, given the prompt's
+    /// [`kv_cache::chain_hashes`] at [`KvModel::block_size`]. Read-only.
+    fn chain_overlap_tokens(&self, chain: &[u64]) -> usize;
+
+    /// Imports migrated KV for the full-block prefix of `tokens`.
+    fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport;
+
+    /// Prices one decode step's attention over `batch`, in batch order. An
+    /// error (a planning or kernel-simulation fault) halts the replica.
+    fn price_decode(
+        &mut self,
+        attention: &mut Self::Attention<'_>,
+        batch: &[Running<Self::Seq>],
+    ) -> Result<AttnPrice, EngineError>;
+
+    /// Step-simulation cache counters (zero for a model that simulates no
+    /// steps).
+    fn step_sim_stats(&self) -> StepSimStats {
+        StepSimStats::default()
+    }
+}
+
+/// One decode step's attention price, from [`KvModel::price_decode`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttnPrice {
+    /// Kernel time of one layer, ns; it repeats on every layer.
+    pub kernel_ns: f64,
+    /// Exposed CPU scheduling time, ns, paid once per step (the plan's
+    /// metadata is shared across layers).
+    pub sched_ns: f64,
+    /// CPU cost of the attention scheduler run this step invoked, for the
+    /// Fig. 16 overhead samples. `None` when no scheduler ran (a replayed
+    /// step) or the backend reports none.
+    pub scheduler_run_ns: Option<f64>,
+}
+
+/// A request in the decode batch.
 #[derive(Debug)]
-struct Active {
+pub struct Running<S> {
+    /// The request id (the batch's stable query id).
+    pub id: u64,
+    /// The KV the request holds.
+    pub seq: S,
     req_idx: usize,
-    table: BlockTable,
     produced: usize,
     target: usize,
     first_token: SimTime,
     arrival: SimTime,
 }
 
-/// A steppable continuous-batching serving engine over one replica.
-///
-/// Holds the complete scheduler state — KV cache, waiting/prefilling/decoding
-/// queues, virtual clock, and metric accumulators — and advances one
-/// scheduling iteration per [`step`](ServingEngine::step) call. The attention
-/// backend is passed into `step` rather than owned, so a fleet driver can
-/// keep engines and backends in separate collections.
-///
-/// When the KV pool runs out, the engine preempts the most recently arrived
-/// running request (vLLM's recompute policy): its blocks are freed and it
-/// restarts from prefill once space frees up.
+/// An admitted request: its prompt KV is placed, its prompt compute is
+/// not yet (fully) charged.
 #[derive(Debug)]
-pub struct ServingEngine {
+struct Prefilling<S> {
+    req_idx: usize,
+    seq: S,
+    /// Prompt tokens still to compute.
+    remaining: usize,
+}
+
+/// A steppable continuous-batching scheduler over one replica.
+///
+/// Holds the complete scheduler state — the KV model, waiting/prefilling/
+/// decoding queues, virtual clock, and metric accumulators — and advances
+/// one scheduling iteration per [`step`](Scheduler::step) call. What
+/// pricing borrows (the attention backend) is passed into `step` rather
+/// than owned, so a fleet driver can keep engines and backends in separate
+/// collections.
+///
+/// When the KV pool runs out, the scheduler preempts the most recently
+/// arrived running request (vLLM's recompute policy): its blocks are freed
+/// and it restarts from prefill once space frees up.
+#[derive(Debug)]
+pub struct Scheduler<K: KvModel> {
     config: ServingConfig,
     cost: CostModel,
-    shard_head: HeadConfig,
     layers_per_stage: usize,
-    cache: CacheManager,
+    kv: K,
     requests: Vec<Request>,
     waiting: VecDeque<usize>,
-    /// Chunked-prefill progress: (request idx, clamped prompt len, tokens done).
-    prefilling: VecDeque<(usize, usize, usize)>,
-    active: Vec<Active>,
+    prefilling: VecDeque<Prefilling<K::Seq>>,
+    active: Vec<Running<K::Seq>>,
     completed: Vec<RequestMetrics>,
     next_arrival: usize,
     clock: SimTime,
@@ -222,41 +309,25 @@ pub struct ServingEngine {
     dropped: u64,
     speed_factor: f64,
     draining: bool,
-    step_cache: StepSimCache,
-    /// Scratch arena: block-table vector recycled across decode steps so
-    /// the per-step `DecodeBatch` rebuild allocates nothing in steady state.
-    scratch_tables: Vec<BlockTable>,
-    /// Scratch arena for the batch's stable query ids (request ids), which
-    /// let stateful backends classify step deltas for incremental planning.
-    scratch_ids: Vec<u64>,
-    /// Scratch arena for the chunked-prefill completion list.
-    scratch_finished: Vec<(usize, usize)>,
     /// First invariant fault that halted this replica, if any.
     fault: Option<EngineError>,
 }
 
-impl ServingEngine {
-    /// Creates an idle engine with an empty KV cache.
-    pub fn new(config: ServingConfig) -> Self {
-        let tp = config.parallel.tp;
-        let pp = config.parallel.pp;
-        // Attention heads shard across TP ranks; each rank's kernel handles an
-        // equal slice, so one rank's latency is the attention latency.
-        let full_head = config.model.head;
-        let shard_head = HeadConfig::new(
-            (full_head.num_heads() / tp).max(1),
-            (full_head.num_kv_heads() / tp).max(1),
-            full_head.head_dim(),
-        );
-        let cost = CostModel::with_tp(config.model, config.gpu.clone(), tp);
-        let layers_per_stage = config.model.num_layers.div_ceil(pp);
-        let cache = CacheManager::new(config.kv_capacity_blocks, DEFAULT_BLOCK_SIZE);
-        ServingEngine {
+/// The exact serving engine: the [`Scheduler`] over the paged,
+/// prefix-reusing KV cache, pricing every decode step by planning it
+/// through the attention backend and simulating the plan on the GPU model.
+pub type ServingEngine = Scheduler<PagedKv>;
+
+impl<K: KvModel> Scheduler<K> {
+    /// An idle scheduler serving `config` over the KV model `kv`.
+    pub fn with_kv(config: ServingConfig, kv: K) -> Self {
+        let cost = CostModel::with_tp(config.model, config.gpu.clone(), config.parallel.tp);
+        let layers_per_stage = config.model.num_layers.div_ceil(config.parallel.pp);
+        Scheduler {
             config,
             cost,
-            shard_head,
             layers_per_stage,
-            cache,
+            kv,
             requests: Vec::new(),
             waiting: VecDeque::new(),
             prefilling: VecDeque::new(),
@@ -273,10 +344,6 @@ impl ServingEngine {
             dropped: 0,
             speed_factor: 1.0,
             draining: false,
-            step_cache: StepSimCache::default(),
-            scratch_tables: Vec::new(),
-            scratch_ids: Vec::new(),
-            scratch_finished: Vec::new(),
             fault: None,
         }
     }
@@ -326,6 +393,11 @@ impl ServingEngine {
         &self.config
     }
 
+    /// The KV model, for read-only introspection.
+    pub fn kv(&self) -> &K {
+        &self.kv
+    }
+
     /// Requests admitted but not yet decoding (waiting + mid-prefill).
     pub fn queue_depth(&self) -> usize {
         self.waiting.len() + self.prefilling.len()
@@ -345,21 +417,15 @@ impl ServingEngine {
             + (self.requests.len() - self.next_arrival)
     }
 
-    /// The replica's KV cache, for read-only introspection (prefix-overlap
-    /// probes, hit-rate stats, residency queries) by routers and metrics.
-    pub fn cache(&self) -> &CacheManager {
-        &self.cache
-    }
-
-    /// Ingests migrated KV for the full-block prefix of `tokens` into this
-    /// replica's cache without computing it, as if streamed from a donor
-    /// replica over the KV movement plane. Subsequent prompts sharing the
-    /// prefix get the ordinary prefill discount, so only the uncovered
-    /// suffix pays compute. Returns the ingest report (how many tokens are
-    /// now resident, and how many this call actually imported); under memory
+    /// Ingests migrated KV for the full-block prefix of `tokens` without
+    /// computing it, as if streamed from a donor replica over the KV
+    /// movement plane. Subsequent prompts sharing the prefix get the
+    /// ordinary prefill discount, so only the uncovered suffix pays
+    /// compute. Returns the ingest report (how many tokens are now
+    /// resident, and how many this call actually imported); under memory
     /// pressure the import stops at the longest prefix that fits.
-    pub fn ingest_prefix(&mut self, tokens: &[kv_cache::Token]) -> kv_cache::IngestReport {
-        self.cache.ingest_prefix(tokens)
+    pub fn ingest_prefix(&mut self, tokens: &[Token]) -> IngestReport {
+        self.kv.ingest_prefix(tokens)
     }
 
     /// The cost model pricing this replica's prefill and decode steps (used
@@ -375,10 +441,7 @@ impl ServingEngine {
 
     /// Ids of the requests currently in the decode batch, in batch order.
     pub fn active_request_ids(&self) -> Vec<u64> {
-        self.active
-            .iter()
-            .map(|a| self.requests[a.req_idx].id)
-            .collect()
+        self.active.iter().map(|a| a.id).collect()
     }
 
     /// Sets the replica's speed factor: 1.0 is nominal, 0.5 makes every
@@ -405,8 +468,8 @@ impl ServingEngine {
     /// Puts the engine into drain mode: it keeps serving everything already
     /// submitted but rejects new submissions. Used for graceful scale-down —
     /// the fleet controller stops routing here, waits for
-    /// [`outstanding`](ServingEngine::outstanding) to reach zero, then
-    /// retires the replica.
+    /// [`outstanding`](Scheduler::outstanding) to reach zero, then retires
+    /// the replica.
     pub fn begin_drain(&mut self) {
         self.draining = true;
     }
@@ -418,27 +481,27 @@ impl ServingEngine {
 
     /// Removes and returns every submitted-but-incomplete request — queued,
     /// mid-prefill, decoding, or not yet admitted — in arrival order, for
-    /// resubmission on another replica. Decoding requests are evicted
-    /// through the same path as KV-pressure preemption (blocks freed,
-    /// partial output discarded), so a requeued request restarts from
-    /// prefill wherever it lands next; these evictions are failover
-    /// requeues, not pressure preemptions, and do not count in
-    /// [`SimulationResult::preemptions`].
+    /// resubmission on another replica. Their KV is freed through the same
+    /// path as KV-pressure preemption (partial output discarded), so a
+    /// requeued request restarts from prefill wherever it lands next; these
+    /// evictions are failover requeues, not pressure preemptions, and do
+    /// not count in [`SimulationResult::preemptions`].
     pub fn take_incomplete(&mut self) -> Vec<Request> {
         let mut indices: Vec<usize> = Vec::new();
         let mut free_fault: Option<AllocError> = None;
-        for a in self.active.drain(..) {
+        let held = self.active.drain(..).map(|a| (a.req_idx, a.seq));
+        let held = held.chain(self.prefilling.drain(..).map(|p| (p.req_idx, p.seq)));
+        for (req_idx, seq) in held {
             // The request is still handed back for resubmission elsewhere;
             // the freeing fault halts only this (now-retiring) replica.
-            if let Err(e) = self.cache.free_sequence(&a.table) {
+            if let Err(e) = self.kv.free(seq) {
                 free_fault = Some(e);
             }
-            indices.push(a.req_idx);
+            indices.push(req_idx);
         }
         if let Some(e) = free_fault {
             self.record_cache_fault("free_sequence (failover eviction)", e);
         }
-        indices.extend(self.prefilling.drain(..).map(|(idx, _, _)| idx));
         indices.extend(self.waiting.drain(..));
         indices.extend(self.next_arrival..self.requests.len());
         self.next_arrival = self.requests.len();
@@ -460,24 +523,26 @@ impl ServingEngine {
             + SimDuration::from_secs_f64(self.config.drain_limit_s)
     }
 
-    /// Frees the most recently arrived active request and requeues it for
-    /// recompute. Returns the preempted request index, or `None`.
-    fn preempt_latest(&mut self) -> Option<usize> {
-        let victim = self
+    /// Frees the most recently arrived running request and requeues it for
+    /// recompute. Returns whether there was one.
+    fn preempt_latest(&mut self) -> bool {
+        let Some((victim, _)) = self
             .active
             .iter()
             .enumerate()
-            .max_by_key(|(_, a)| a.arrival)?
-            .0;
+            .max_by_key(|(_, a)| a.arrival)
+        else {
+            return false;
+        };
         let a = self.active.swap_remove(victim);
         // A failed free corrupts the pool accounting: record the fault (the
         // step loop halts on it) but still requeue the victim, so it is
         // counted as unfinished rather than silently lost.
-        if let Err(e) = self.cache.free_sequence(&a.table) {
+        if let Err(e) = self.kv.free(a.seq) {
             self.record_cache_fault("free_sequence (preemption)", e);
         }
         self.waiting.push_front(a.req_idx);
-        Some(a.req_idx)
+        true
     }
 
     /// Runs one scheduling iteration: admit arrivals, then either prefill,
@@ -488,7 +553,7 @@ impl ServingEngine {
     ///
     /// Panics if a single request exceeds the KV pool even with every other
     /// request preempted.
-    pub fn step(&mut self, attention: &mut dyn ServingAttention) -> StepOutcome {
+    pub fn step(&mut self, attention: &mut K::Attention<'_>) -> StepOutcome {
         // A faulted replica is halted: no further scheduling, in-flight
         // requests surface as unfinished in `into_result`.
         if self.fault.is_some() {
@@ -514,321 +579,246 @@ impl ServingEngine {
             return StepOutcome::Idle;
         }
 
+        let admitted = self.admit_waiting();
         if self.config.chunked_prefill {
-            // Admit waiting requests into the prefilling queue (same
-            // admission control as below, but no dedicated prefill step).
-            while let Some(&idx) = self.waiting.front() {
-                let req = &self.requests[idx];
-                let budget = self
-                    .config
-                    .model
-                    .max_context
-                    .saturating_sub(req.decode_tokens)
-                    .max(16);
-                let prompt_tokens = req.prompt.total_tokens().min(budget);
-                let bs = DEFAULT_BLOCK_SIZE;
-                let needed = prompt_tokens.div_ceil(bs) + req.decode_tokens.div_ceil(bs) + 2;
-                if needed > self.cache.allocator().capacity() {
-                    self.waiting.pop_front();
-                    self.dropped += 1;
-                    continue;
-                }
-                let engine_busy = !self.active.is_empty() || !self.prefilling.is_empty();
-                if self.active.len() + self.prefilling.len() >= self.config.max_batch
-                    || (needed > self.cache.available_blocks() && engine_busy)
-                {
-                    break;
-                }
-                self.waiting.pop_front();
-                // Prefix-cached prompt blocks skip recomputation: start the
-                // chunk cursor past the resident prefix (read-only probe; at
-                // least one token is always computed for fresh logits).
-                let tokens = req.prompt.to_tokens();
-                let clamped = &tokens[..prompt_tokens];
-                let cached = self
-                    .cache
-                    .prefix_overlap_tokens(clamped)
-                    .min(prompt_tokens.saturating_sub(1));
-                self.prefilling.push_back((idx, prompt_tokens, cached));
-            }
-        }
-
-        // Prefill-priority scheduling (vLLM default): admit waiting requests
-        // up to the token budget, then decode.
-        if !self.config.chunked_prefill
-            && !self.waiting.is_empty()
-            && self.active.len() < self.config.max_batch
-        {
-            let mut chunk_tokens = 0usize;
-            let mut admitted = Vec::new();
-            let mut budget_blocks = self.cache.available_blocks();
-            while let Some(&idx) = self.waiting.front() {
-                let req = &self.requests[idx];
-                // Clamp over-long prompts to the model context window.
-                let budget = self
-                    .config
-                    .model
-                    .max_context
-                    .saturating_sub(req.decode_tokens)
-                    .max(16);
-                let prompt_tokens = req.prompt.total_tokens().min(budget);
-                if self.active.len() + admitted.len() >= self.config.max_batch
-                    || (chunk_tokens + prompt_tokens > self.config.max_prefill_tokens
-                        && !admitted.is_empty())
-                {
-                    break;
-                }
-                // Admission control (vLLM watermark): the request's whole
-                // lifetime (prompt + decode budget) must fit in currently
-                // obtainable blocks, or it waits for departures. Prefix hits
-                // only make this conservative.
-                let bs = DEFAULT_BLOCK_SIZE;
-                let needed = prompt_tokens.div_ceil(bs) + req.decode_tokens.div_ceil(bs) + 2;
-                if needed > self.cache.allocator().capacity() {
-                    // Can never fit, even alone: reject rather than livelock.
-                    self.waiting.pop_front();
-                    self.dropped += 1;
-                    continue;
-                }
-                let engine_busy = !self.active.is_empty() || !admitted.is_empty();
-                if needed > budget_blocks && engine_busy {
-                    break;
-                }
-                budget_blocks = budget_blocks.saturating_sub(needed);
-                self.waiting.pop_front();
-                chunk_tokens += prompt_tokens;
-                admitted.push((idx, prompt_tokens));
-                if chunk_tokens >= self.config.max_prefill_tokens {
-                    break;
-                }
-            }
-            if !admitted.is_empty() {
-                // Prefix caching discounts prefill compute (vLLM APC /
-                // SGLang): prompt blocks already resident in the KV cache are
-                // reused, so only each request's uncached suffix is computed.
-                // At least one token is always computed — the final partial
-                // block is never cached and the request needs fresh logits.
-                let mut computed_tokens = 0usize;
-                let mut placed = Vec::with_capacity(admitted.len());
-                let mut admitting = admitted.into_iter();
-                'admit: while let Some((idx, prompt_tokens)) = admitting.next() {
-                    let tokens = self.requests[idx].prompt.to_tokens()[..prompt_tokens].to_vec();
-                    let (table, hit_tokens) = loop {
-                        let hits_before = self.cache.stats().hit_tokens;
-                        match self.cache.insert_sequence(&tokens) {
-                            Ok(t) => {
-                                let hit = self.cache.stats().hit_tokens - hits_before;
-                                break (t, hit as usize);
-                            }
-                            Err(_) => {
-                                self.preemptions += 1;
-                                if self.preempt_latest().is_none() {
-                                    panic!("a single request exceeds the KV pool");
-                                }
-                                if self.fault.is_some() {
-                                    // Preemption hit a cache fault: freeing
-                                    // made no room, so retrying can spin
-                                    // forever. Restore the un-admitted
-                                    // requests to the waiting queue (they
-                                    // count as unfinished) and halt.
-                                    let rest: Vec<usize> = std::iter::once(idx)
-                                        .chain(admitting.by_ref().map(|(i, _)| i))
-                                        .collect();
-                                    for &r in rest.iter().rev() {
-                                        self.waiting.push_front(r);
-                                    }
-                                    break 'admit;
-                                }
-                            }
-                        }
-                    };
-                    computed_tokens += prompt_tokens.saturating_sub(hit_tokens).max(1);
-                    placed.push((idx, table));
-                }
-                self.clock += SimDuration::from_ns_f64(
-                    self.cost.prefill_ns(computed_tokens) / self.speed_factor,
-                );
-                for (idx, table) in placed {
-                    let req = &self.requests[idx];
-                    let arrival = SimTime::from_secs_f64(req.arrival_s);
-                    if req.decode_tokens <= 1 {
-                        let request_id = req.id;
-                        if let Err(e) = self.cache.free_sequence(&table) {
-                            // Completion metrics still count; the fault
-                            // halts the replica on the next step.
-                            self.record_cache_fault("free_sequence (prefill-only)", e);
-                        }
-                        let latency = (self.clock - arrival).as_ns_f64();
-                        self.completed.push(RequestMetrics {
-                            request_id,
-                            ttft_ns: latency,
-                            tpot_ns: 0.0,
-                            completion_ns: latency,
-                            decode_tokens: 1,
-                        });
-                    } else {
-                        let target = req.decode_tokens;
-                        self.active.push(Active {
-                            req_idx: idx,
-                            table,
-                            produced: 1,
-                            target,
-                            first_token: self.clock,
-                            arrival,
-                        });
-                    }
-                }
-                return StepOutcome::Progress;
-            }
-            // Nothing admissible right now: fall through to decode so
-            // departures can free KV blocks for the waiting requests.
-        }
-        // Chunked prefill: carve this step's chunk from the prefill queue.
-        // The completion list is a recycled scratch vector: taken here,
-        // returned to the arena on every exit path below.
-        let mut prefill_chunk = 0usize;
-        let mut finished_prefills = std::mem::take(&mut self.scratch_finished);
-        finished_prefills.clear();
-        if self.config.chunked_prefill {
-            let mut budget = self.config.max_prefill_tokens;
-            while budget > 0 {
-                let Some(front) = self.prefilling.front_mut() else {
-                    break;
-                };
-                let take = (front.1 - front.2).min(budget);
-                front.2 += take;
-                budget -= take;
-                prefill_chunk += take;
-                if front.2 >= front.1 {
-                    let (idx, prompt_tokens, _) = (front.0, front.1, front.2);
-                    self.prefilling.pop_front();
-                    finished_prefills.push((idx, prompt_tokens));
-                } else {
-                    break;
-                }
-            }
-        }
-
-        if self.active.is_empty() && prefill_chunk == 0 {
-            // Everything waiting was dropped or nothing is runnable yet.
-            self.scratch_finished = finished_prefills;
-            return StepOutcome::Progress;
-        }
-        if self.active.is_empty() {
-            // Pure prefill-chunk step.
+            // Chunked prefill (vLLM): admitted prompts queue for compute,
+            // which rides on the coming steps chunk by chunk.
+            self.prefilling.extend(admitted);
+        } else if !admitted.is_empty() {
+            // Prefill-priority scheduling (vLLM default): one prefill step
+            // computes every admitted prompt, then they start decoding.
+            let computed_tokens = admitted.iter().map(|p| p.remaining).sum();
             self.clock +=
-                SimDuration::from_ns_f64(self.cost.prefill_ns(prefill_chunk) / self.speed_factor);
-            self.admit_finished_prefills(&finished_prefills);
-            self.scratch_finished = finished_prefills;
+                SimDuration::from_ns_f64(self.cost.prefill_ns(computed_tokens) / self.speed_factor);
+            for p in admitted {
+                self.on_first_token(p.req_idx, p.seq);
+            }
+            return StepOutcome::Progress;
+        }
+        if self.fault.is_some() {
+            return StepOutcome::Idle;
+        }
+
+        // Otherwise decode, so departures free KV blocks for the waiting
+        // requests, carrying this step's prefill chunk if any.
+        let (prefill_chunk, prefilled) = self.carve_prefill_chunk();
+        if self.active.is_empty() {
+            if prefill_chunk > 0 {
+                // Pure prefill-chunk step.
+                self.clock += SimDuration::from_ns_f64(
+                    self.cost.prefill_ns(prefill_chunk) / self.speed_factor,
+                );
+                self.finish_prefills(prefilled);
+            }
+            // Else everything waiting was dropped or nothing is runnable yet.
             return StepOutcome::Progress;
         }
 
-        // Decode step. The block-table vector comes from the scratch arena
-        // (recovered from the batch below), so steady-state decode allocates
-        // no fresh tables.
-        let mut tables = std::mem::take(&mut self.scratch_tables);
-        tables.truncate(self.active.len());
-        for (i, a) in self.active.iter().enumerate() {
-            if i < tables.len() {
-                tables[i].clone_from(&a.table);
-            } else {
-                tables.push(a.table.clone());
-            }
-        }
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        ids.clear();
-        ids.extend(self.active.iter().map(|a| self.requests[a.req_idx].id));
-        let batch = DecodeBatch::new(self.shard_head, tables, 2).with_query_ids(ids);
-        // Step-simulation memoization (serving-level §5.1): consecutive
-        // steps with identical block-granularity structure replay the
-        // cached timing report and skip both the pack scheduler and the
-        // sim-gpu event loop. Any structural change — arrival, departure,
-        // preemption, a table growing a block — changes the fingerprint.
-        let key = (
-            batch_timing_fingerprint(&batch, &self.config.gpu),
-            backend_fingerprint(attention),
-        );
-        let (report, cache_hit) = match self.step_cache.get(key) {
-            Some(report) => (report, true),
-            None => {
-                let plan = match attention.plan_step(&batch, &self.config.gpu) {
-                    Ok(plan) => plan,
-                    Err(e) => {
-                        // No feasible tile for this device/geometry: record
-                        // the typed failure and halt the replica cleanly.
-                        // In-flight requests surface as `unfinished`.
-                        self.record_fault(EngineError::Plan(e.to_string()));
-                        (self.scratch_tables, self.scratch_ids) = batch.into_scratch();
-                        self.scratch_finished = finished_prefills;
-                        return StepOutcome::Idle;
-                    }
-                };
-                // Fig. 16 three-way split: this step ran the planner —
-                // record whether it reused plan state or went cold.
-                // Stateless baselines report no reuse and count as cold.
-                self.step_cache.note_plan(matches!(
-                    attention.last_plan_reuse(),
-                    Some(r) if r != PlanReuse::Cold
-                ));
-                let full = match simulate_plan_trusted(&batch, &plan, &self.config.gpu) {
-                    Ok(full) => full,
-                    Err(e) => {
-                        // The backend produced a plan the kernel simulator
-                        // rejects — same clean halt as a planning failure.
-                        self.record_fault(EngineError::Simulate(e.to_string()));
-                        (self.scratch_tables, self.scratch_ids) = batch.into_scratch();
-                        self.scratch_finished = finished_prefills;
-                        return StepOutcome::Idle;
-                    }
-                };
-                let report = StepSimReport {
-                    total_ns: full.total_ns,
-                    scheduling_ns: full.scheduling_ns,
-                };
-                self.step_cache.insert(key, report);
-                (report, false)
+        let price = match self.kv.price_decode(attention, &self.active) {
+            Ok(price) => price,
+            Err(e) => {
+                // No feasible tile, or a plan the kernel simulator rejects:
+                // halt the replica cleanly; in-flight requests surface as
+                // unfinished.
+                self.record_fault(e);
+                return StepOutcome::Idle;
             }
         };
-        // Kernel time repeats per layer; exposed CPU scheduling is paid once
-        // per step (the plan's metadata is shared across layers).
-        let attention_ns = (report.total_ns - report.scheduling_ns)
-            * self.config.model.num_layers as f64
-            + report.scheduling_ns;
-        let pp = self.config.parallel.pp;
-        let linear_ns = self
-            .cost
-            .decode_linear_ns(batch.num_queries(), self.layers_per_stage)
-            * pp as f64;
-        // Pipeline stages hand activations over (pp - 1) boundaries.
-        let pp_transfer_ns = (pp - 1) as f64
-            * (8_000.0
-                + batch.num_queries() as f64 * self.config.model.hidden as f64 * 2.0 / 300.0);
-        let prefill_ns = self.cost.chunked_prefill_marginal_ns(prefill_chunk);
-        // A straggler (speed factor < 1) stretches every step it executes.
-        let attention_ns = attention_ns / self.speed_factor;
-        let step_ns = attention_ns + (linear_ns + pp_transfer_ns + prefill_ns) / self.speed_factor;
-        // Fig. 16 samples per scheduler *invocation*: a cached step ran no
+        let batch = self.active.len();
+        // Fig. 16 samples per scheduler *invocation*: a replayed step ran no
         // scheduler, so there is nothing to overlap with pre-attention work.
-        if !cache_hit {
-            if let Some(sched) = attention.scheduling_cost_ns(&batch) {
-                self.overhead_samples
-                    .push((sched, self.cost.pre_attention_ns(batch.num_queries())));
-            }
+        if let Some(sched) = price.scheduler_run_ns {
+            self.overhead_samples
+                .push((sched, self.cost.pre_attention_ns(batch)));
         }
+        let (attention_ns, step_ns) = self.decode_step_ns(&price, batch, prefill_chunk);
         // Quantize the step once onto the integer spine; the attention share
         // is quantized with the same rounding so the fraction stays honest.
         let step = SimDuration::from_ns_f64(step_ns);
         self.clock += step;
         self.decode_steps += 1;
-        self.batch_acc += batch.num_queries();
+        self.batch_acc += batch;
         self.attn_time += SimDuration::from_ns_f64(attention_ns);
         self.total_time += step;
-        // Return the table and id vectors to the scratch arena, then the
-        // completion list; all keep their capacity for the next step.
-        (self.scratch_tables, self.scratch_ids) = batch.into_scratch();
-        self.admit_finished_prefills(&finished_prefills);
-        self.scratch_finished = finished_prefills;
+        self.append_decode_tokens();
+        self.finish_prefills(prefilled);
+        StepOutcome::Progress
+    }
 
+    /// The admission both prefill modes share: picks waiting requests under
+    /// the token budget and the vLLM watermark, then places their prompt
+    /// KV, so the pool accounts for every admitted request from here on.
+    fn admit_waiting(&mut self) -> Vec<Prefilling<K::Seq>> {
+        let bs = self.kv.block_size();
+        let mut chunk_tokens = 0usize;
+        let mut picked = Vec::new();
+        let mut budget_blocks = self.kv.available_blocks();
+        while let Some(&idx) = self.waiting.front() {
+            let req = &self.requests[idx];
+            // Clamp over-long prompts to the model context window.
+            let budget = self
+                .config
+                .model
+                .max_context
+                .saturating_sub(req.decode_tokens)
+                .max(16);
+            let prompt_tokens = req.prompt.total_tokens().min(budget);
+            let in_flight = self.active.len() + self.prefilling.len() + picked.len();
+            if in_flight >= self.config.max_batch
+                || (chunk_tokens + prompt_tokens > self.config.max_prefill_tokens
+                    && !picked.is_empty())
+            {
+                break;
+            }
+            // Admission control (vLLM watermark): the request's whole
+            // lifetime (prompt + decode budget) must fit in currently
+            // obtainable blocks, or it waits for departures. Prefix hits
+            // only make this conservative.
+            let needed = prompt_tokens.div_ceil(bs) + req.decode_tokens.div_ceil(bs) + 2;
+            if needed > self.kv.capacity_blocks() {
+                // Can never fit, even alone: reject rather than livelock.
+                self.waiting.pop_front();
+                self.dropped += 1;
+                continue;
+            }
+            if needed > budget_blocks && in_flight > 0 {
+                break;
+            }
+            budget_blocks = budget_blocks.saturating_sub(needed);
+            self.waiting.pop_front();
+            chunk_tokens += prompt_tokens;
+            picked.push((idx, prompt_tokens));
+            if chunk_tokens >= self.config.max_prefill_tokens {
+                break;
+            }
+        }
+        // Prefix caching discounts prefill compute (vLLM APC / SGLang):
+        // prompt blocks already resident are reused, so only each request's
+        // uncached suffix is computed. At least one token is always
+        // computed — the request needs fresh logits.
+        let mut placed = Vec::with_capacity(picked.len());
+        let mut picking = picked.into_iter();
+        'admit: while let Some((idx, prompt_tokens)) = picking.next() {
+            let tokens = self.requests[idx].prompt.to_tokens();
+            let (seq, hit_tokens) = loop {
+                match self.kv.admit(&tokens[..prompt_tokens]) {
+                    Ok(admitted) => break admitted,
+                    Err(_) => {
+                        self.preemptions += 1;
+                        assert!(
+                            self.preempt_latest(),
+                            "a single request exceeds the KV pool"
+                        );
+                        if self.fault.is_some() {
+                            // Preemption hit a cache fault: freeing made no
+                            // room, so retrying can spin forever. Restore
+                            // the unplaced requests to the waiting queue
+                            // (they count as unfinished) and halt.
+                            let rest: Vec<usize> = std::iter::once(idx)
+                                .chain(picking.by_ref().map(|(i, _)| i))
+                                .collect();
+                            for &r in rest.iter().rev() {
+                                self.waiting.push_front(r);
+                            }
+                            break 'admit;
+                        }
+                    }
+                }
+            };
+            placed.push(Prefilling {
+                req_idx: idx,
+                seq,
+                remaining: prompt_tokens.saturating_sub(hit_tokens).max(1),
+            });
+        }
+        placed
+    }
+
+    /// Carves this step's chunk from the front of the chunked-prefill
+    /// queue, up to the prefill token budget. Returns the chunk's tokens
+    /// and how many queued prompts it completes.
+    fn carve_prefill_chunk(&mut self) -> (usize, usize) {
+        let mut budget = self.config.max_prefill_tokens;
+        let (mut chunk, mut completed) = (0usize, 0usize);
+        for p in self.prefilling.iter_mut() {
+            if budget == 0 {
+                break;
+            }
+            let take = p.remaining.min(budget);
+            p.remaining -= take;
+            budget -= take;
+            chunk += take;
+            if p.remaining > 0 {
+                break;
+            }
+            completed += 1;
+        }
+        (chunk, completed)
+    }
+
+    /// Moves the first `n` queued prompts, now fully computed, on to their
+    /// first token.
+    fn finish_prefills(&mut self, n: usize) {
+        for _ in 0..n {
+            if let Some(p) = self.prefilling.pop_front() {
+                self.on_first_token(p.req_idx, p.seq);
+            }
+        }
+    }
+
+    /// A request whose prefill just completed produced its first token: a
+    /// prefill-only request completes, any other joins the decode batch.
+    fn on_first_token(&mut self, req_idx: usize, seq: K::Seq) {
+        let req = &self.requests[req_idx];
+        let arrival = SimTime::from_secs_f64(req.arrival_s);
+        let (id, target) = (req.id, req.decode_tokens);
+        if target <= 1 {
+            if let Err(e) = self.kv.free(seq) {
+                // Completion metrics still count; the fault halts the
+                // replica on the next step.
+                self.record_cache_fault("free_sequence (prefill-only)", e);
+            }
+            let latency = (self.clock - arrival).as_ns_f64();
+            self.completed.push(RequestMetrics {
+                request_id: id,
+                ttft_ns: latency,
+                tpot_ns: 0.0,
+                completion_ns: latency,
+                decode_tokens: 1,
+            });
+        } else {
+            self.active.push(Running {
+                id,
+                seq,
+                req_idx,
+                produced: 1,
+                target,
+                first_token: self.clock,
+                arrival,
+            });
+        }
+    }
+
+    /// The closed-form price of one decode step from its attention price:
+    /// attention (per-layer kernel time on every layer, scheduling once),
+    /// plus every pipeline stage's non-attention work, the pipeline
+    /// hand-offs and any chunked-prefill share, all stretched by the speed
+    /// factor (a straggler below 1.0). Returns `(attention_ns, step_ns)`.
+    fn decode_step_ns(&self, price: &AttnPrice, batch: usize, prefill_chunk: usize) -> (f64, f64) {
+        let attention_ns = (price.kernel_ns * self.config.model.num_layers as f64 + price.sched_ns)
+            / self.speed_factor;
+        let pp = self.config.parallel.pp;
+        let linear_ns = self.cost.decode_linear_ns(batch, self.layers_per_stage) * pp as f64;
+        let pp_transfer_ns = self.cost.pp_transfer_ns(batch, pp);
+        let prefill_ns = self.cost.chunked_prefill_marginal_ns(prefill_chunk);
+        let step_ns = attention_ns + (linear_ns + pp_transfer_ns + prefill_ns) / self.speed_factor;
+        (attention_ns, step_ns)
+    }
+
+    /// Appends every running request's new token, preempting the youngest
+    /// request under KV pressure (possibly the one appending), and
+    /// completes requests that reached their decode target.
+    fn append_decode_tokens(&mut self) {
         let mut i = 0;
         while i < self.active.len() {
             if self.fault.is_some() {
@@ -836,22 +826,21 @@ impl ServingEngine {
                 // replica halts on the next step call.
                 break;
             }
-            // Append this request's new token, preempting the youngest
-            // request under KV pressure (possibly this one).
             let my_req = self.active[i].req_idx;
             let mut appended = false;
             // The loop exits without appending when this request was itself
             // preempted (its index no longer appears in the active set).
             while let Some(pos) = self.active.iter().position(|a| a.req_idx == my_req) {
                 i = pos;
-                if self.cache.append_token(&mut self.active[i].table).is_ok() {
+                if self.kv.append(&mut self.active[i].seq).is_ok() {
                     appended = true;
                     break;
                 }
                 self.preemptions += 1;
-                if self.preempt_latest().is_none() {
-                    panic!("a single request exceeds the KV pool");
-                }
+                assert!(
+                    self.preempt_latest(),
+                    "a single request exceeds the KV pool"
+                );
                 if self.fault.is_some() {
                     break;
                 }
@@ -865,12 +854,12 @@ impl ServingEngine {
             self.active[i].produced += 1;
             if self.active[i].produced >= self.active[i].target {
                 let a = self.active.swap_remove(i);
-                if let Err(e) = self.cache.free_sequence(&a.table) {
+                if let Err(e) = self.kv.free(a.seq) {
                     self.record_cache_fault("free_sequence (completion)", e);
                 }
                 let gaps = (a.produced - 1).max(1) as f64;
                 self.completed.push(RequestMetrics {
-                    request_id: self.requests[a.req_idx].id,
+                    request_id: a.id,
                     ttft_ns: (a.first_token - a.arrival).as_ns_f64(),
                     tpot_ns: (self.clock - a.first_token).as_ns_f64() / gaps,
                     completion_ns: (self.clock - a.arrival).as_ns_f64(),
@@ -880,58 +869,12 @@ impl ServingEngine {
                 i += 1;
             }
         }
-        StepOutcome::Progress
-    }
-
-    /// Moves requests whose chunked prefill just completed into the decode
-    /// batch, producing their first token.
-    fn admit_finished_prefills(&mut self, finished: &[(usize, usize)]) {
-        for &(idx, prompt_tokens) in finished {
-            let tokens = self.requests[idx].prompt.to_tokens()[..prompt_tokens].to_vec();
-            let table = match self.cache.insert_sequence(&tokens) {
-                Ok(table) => table,
-                Err(e) => {
-                    // Admission reserved these blocks, so a failure here is
-                    // corrupt pool accounting: requeue the request (counted
-                    // as unfinished) and halt via the recorded fault.
-                    self.record_cache_fault("insert_sequence (chunked prefill)", e);
-                    self.waiting.push_front(idx);
-                    continue;
-                }
-            };
-            let req = &self.requests[idx];
-            let arrival = SimTime::from_secs_f64(req.arrival_s);
-            if req.decode_tokens <= 1 {
-                let request_id = req.id;
-                if let Err(e) = self.cache.free_sequence(&table) {
-                    self.record_cache_fault("free_sequence (chunked prefill-only)", e);
-                }
-                let latency = (self.clock - arrival).as_ns_f64();
-                self.completed.push(RequestMetrics {
-                    request_id,
-                    ttft_ns: latency,
-                    tpot_ns: 0.0,
-                    completion_ns: latency,
-                    decode_tokens: 1,
-                });
-            } else {
-                let target = req.decode_tokens;
-                self.active.push(Active {
-                    req_idx: idx,
-                    table,
-                    produced: 1,
-                    target,
-                    first_token: self.clock,
-                    arrival,
-                });
-            }
-        }
     }
 
     /// Step-simulation cache counters so far (hits skip the sim-gpu event
-    /// loop; see [`StepSimCache`]).
+    /// loop; see [`attn_kernel::StepSimCache`]).
     pub fn step_sim_stats(&self) -> StepSimStats {
-        self.step_cache.stats()
+        self.kv.step_sim_stats()
     }
 
     /// Finalizes the simulation, consuming the engine. Requests still in
@@ -952,7 +895,7 @@ impl ServingEngine {
                 self.attn_time.as_ns_f64() / self.total_time.as_ns_f64()
             },
             overhead_samples: self.overhead_samples,
-            step_sim: self.step_cache.stats(),
+            step_sim: self.kv.step_sim_stats(),
             unfinished: self.active.len()
                 + self.waiting.len()
                 + self.prefilling.len()
@@ -966,16 +909,6 @@ impl ServingEngine {
             fault: self.fault.as_ref().map(|f| f.to_string()),
         }
     }
-}
-
-/// Identity of a backend for step-cache keying: a hash of its display name.
-/// Different backends (or differently configured PAT ablations, which embed
-/// their configuration in the name) never share cache entries.
-fn backend_fingerprint(attention: &dyn ServingAttention) -> u64 {
-    use std::hash::{DefaultHasher, Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    attention.name().hash(&mut h);
-    h.finish()
 }
 
 /// Runs the serving simulation for `requests` (must be sorted by arrival).
@@ -1137,6 +1070,24 @@ mod tests {
         assert_eq!(result.dropped, 0);
         assert_eq!(result.metrics.completed, requests.len());
         assert!(result.mean_batch < 16.0, "pool bounds concurrency");
+    }
+
+    #[test]
+    fn chunked_prefill_on_a_tiny_kv_pool_serves_everyone() {
+        // Chunked admission places each prompt's KV as it admits the
+        // request, so the watermark sees every prompt still prefilling and
+        // the pool is never over-committed.
+        let requests = short_trace(6.0);
+        assert_eq!(requests.len(), 26);
+        let mut cfg = config();
+        cfg.kv_capacity_blocks = 1200;
+        cfg.max_batch = 32;
+        cfg.chunked_prefill = true;
+        let mut pat = LazyPat::new();
+        let result = simulate_serving(&cfg, &mut pat, &requests);
+        assert_eq!(result.fault, None);
+        assert_eq!(result.unfinished, 0);
+        assert_eq!(result.metrics.completed, 26);
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! Fig. 12/13), the latency breakdown of Fig. 1, and the scheduler-overhead
 //! samples of Fig. 16. Supports TP/PP sharding and MoE cost modelling (§8.5).
 //!
+//! The scheduler, [`Scheduler`], is written once and generic over one seam,
+//! [`KvModel`]: how a replica holds and counts KV blocks and how it prices
+//! a decode step's attention. [`ServingEngine`] is the scheduler over
+//! [`PagedKv`] (paged cache, planner, kernel simulator); the
+//! `replica-fidelity` crate instantiates it over a counted pool priced by a
+//! calibrated closed form.
+//!
 //! ## Example
 //!
 //! ```no_run
@@ -37,14 +44,16 @@ mod costs;
 mod engine;
 mod metrics;
 mod model;
+mod paged;
 
 pub use attention::{ServingAttention, Stateless};
 pub use attn_kernel::{StepSimCache, StepSimReport, StepSimStats, DEFAULT_STEP_CACHE_CAPACITY};
 pub use breakdown::{latency_breakdown, BreakdownRow};
 pub use costs::CostModel;
 pub use engine::{
-    simulate_serving, EngineError, Parallelism, ServingConfig, ServingEngine, SimulationResult,
-    StepOutcome,
+    simulate_serving, AttnPrice, EngineError, KvModel, Parallelism, Running, Scheduler,
+    ServingConfig, ServingEngine, SimulationResult, StepOutcome,
 };
 pub use metrics::{percentile, AggregateMetrics, RequestMetrics};
 pub use model::{ModelSpec, MoeSpec};
+pub use paged::PagedKv;

@@ -95,6 +95,17 @@ impl ModelSpec {
         }
     }
 
+    /// The attention head slice one of `tp` tensor-parallel ranks runs:
+    /// heads shard across ranks and each rank's kernel handles an equal
+    /// slice, so one rank's latency is the attention latency.
+    pub fn shard_head(&self, tp: usize) -> HeadConfig {
+        HeadConfig::new(
+            (self.head.num_heads() / tp.max(1)).max(1),
+            (self.head.num_kv_heads() / tp.max(1)).max(1),
+            self.head.head_dim(),
+        )
+    }
+
     /// Attention projection parameters per layer (Q, K, V, O).
     pub fn attn_params_per_layer(&self) -> usize {
         let d = self.head.head_dim();
