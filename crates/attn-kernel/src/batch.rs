@@ -93,13 +93,6 @@ impl DecodeBatch {
         self.query_ids.as_deref()
     }
 
-    /// Consumes the batch, returning its block tables (allocation reuse:
-    /// callers that rebuild a batch every decode step can recover the table
-    /// vector instead of reallocating it).
-    pub fn into_tables(self) -> Vec<BlockTable> {
-        self.tables
-    }
-
     /// Decomposes the batch into its table vector and query-id vector
     /// (empty when no ids were attached) so callers can recycle both
     /// allocations across steps.

@@ -32,7 +32,7 @@ use controller::{
     window_stats, AdmissionConfig, AutoscalerConfig, ControllerConfig, FaultEvent, FaultKind,
     FaultPlan, FleetController, TransferConfig,
 };
-use kv_transfer::{FleetTopology, LinkSpec};
+use kv_transfer::LinkSpec;
 use pat_bench::{banner, save_json};
 use pat_core::LazyPat;
 use rand::SeedableRng;
@@ -265,10 +265,7 @@ fn scale_config(sc: &Scenario) -> ControllerConfig {
         max_outstanding_per_replica: 64,
         max_queued: 8192,
     });
-    config.transfer = Some(TransferConfig::migration(FleetTopology::uniform(
-        sc.scale_replicas,
-        LinkSpec::rdma_200g(),
-    )));
+    config.transfer = Some(TransferConfig::migration(LinkSpec::rdma_200g()));
     config
 }
 

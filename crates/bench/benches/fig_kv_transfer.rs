@@ -41,7 +41,7 @@ use controller::{
     window_stats, ControlResult, ControllerConfig, FaultEvent, FaultKind, FaultPlan,
     FleetController, TransferConfig,
 };
-use kv_transfer::{FleetTopology, LinkSpec};
+use kv_transfer::LinkSpec;
 use pat_bench::{banner, save_json};
 use rand::SeedableRng;
 use serde::Serialize;
@@ -174,14 +174,11 @@ fn fleet_config(fleet: &str) -> ControllerConfig {
     config.slo_ttft_ms = SLO_TTFT_MS;
     match fleet {
         "migration" => {
-            config.transfer = Some(TransferConfig::migration(FleetTopology::uniform(
-                REPLICAS,
-                LinkSpec::rdma_200g(),
-            )));
+            config.transfer = Some(TransferConfig::migration(LinkSpec::rdma_200g()));
         }
         "disaggregation" => {
             config.transfer = Some(TransferConfig::disaggregated(
-                FleetTopology::uniform(REPLICAS, LinkSpec::rdma_200g()),
+                LinkSpec::rdma_200g(),
                 PREFILL_REPLICAS,
             ));
         }

@@ -445,7 +445,7 @@ mod tests {
     fn engines(n: usize) -> Vec<Box<dyn ReplicaModel>> {
         let config = ServingConfig::single_gpu(ModelSpec::llama3_8b());
         (0..n)
-            .map(|_| new_replica(Fidelity::Exact, &config, Box::new(LazyPat::new())))
+            .map(|_| new_replica(Fidelity::Exact, &config, || Box::new(LazyPat::new())))
             .collect()
     }
 

@@ -27,7 +27,7 @@ use cluster::{
     Router,
 };
 use kv_cache::chain_hashes;
-use kv_transfer::{FleetTopology, TransferKind, TransferPlane};
+use kv_transfer::{LinkSpec, TransferKind, TransferPlane};
 use pat_core::LazyPat;
 use replica_fidelity::{fidelity_from_env, new_replica, Fidelity, ReplicaModel};
 use serving::{AggregateMetrics, RequestMetrics, ServingAttention, ServingConfig, StepOutcome};
@@ -57,12 +57,12 @@ pub struct DisaggConfig {
     pub prefill_replicas: usize,
 }
 
-/// KV movement policy of a fleet: the link topology plus which movements
-/// the controller is allowed to make on it.
+/// KV movement policy of a fleet: the link plus which movements the
+/// controller is allowed to make on it.
 #[derive(Debug, Clone)]
 pub struct TransferConfig {
     /// Link model between every replica pair.
-    pub topology: FleetTopology,
+    pub link: LinkSpec,
     /// Warm-prefix migration on failover: stream the best donor's
     /// overlapping prefix blocks to the failover target instead of
     /// recomputing them — unless the cost model says recompute wins.
@@ -80,11 +80,11 @@ pub struct TransferConfig {
 }
 
 impl TransferConfig {
-    /// Warm-prefix migration (failover + revive prewarm) over `topology`,
+    /// Warm-prefix migration (failover + revive prewarm) over `link`,
     /// unified fleet.
-    pub fn migration(topology: FleetTopology) -> Self {
+    pub fn migration(link: LinkSpec) -> Self {
         TransferConfig {
-            topology,
+            link,
             migration: true,
             min_migration_tokens: 32,
             prewarm_on_revive: true,
@@ -93,13 +93,13 @@ impl TransferConfig {
         }
     }
 
-    /// Disaggregated serving over `topology`: the first `prefill_replicas`
+    /// Disaggregated serving over `link`: the first `prefill_replicas`
     /// replicas prefill and stream KV, the rest decode. Migration stays off
     /// so the handoff effect can be measured alone; enable it with the
     /// field.
-    pub fn disaggregated(topology: FleetTopology, prefill_replicas: usize) -> Self {
+    pub fn disaggregated(link: LinkSpec, prefill_replicas: usize) -> Self {
         TransferConfig {
-            topology,
+            link,
             migration: false,
             min_migration_tokens: 32,
             prewarm_on_revive: false,
@@ -312,7 +312,7 @@ impl Replica {
     fn fresh(
         fidelity: Fidelity,
         engine_cfg: &ServingConfig,
-        backend: Box<dyn ServingAttention>,
+        backend: impl FnOnce() -> Box<dyn ServingAttention>,
     ) -> Self {
         Replica {
             model: new_replica(fidelity, engine_cfg, backend),
@@ -334,7 +334,7 @@ impl Replica {
     fn provisioning(
         fidelity: Fidelity,
         engine_cfg: &ServingConfig,
-        backend: Box<dyn ServingAttention>,
+        backend: impl FnOnce() -> Box<dyn ServingAttention>,
         ready: SimTime,
     ) -> Self {
         let mut r = Replica::fresh(fidelity, engine_cfg, backend);
@@ -464,7 +464,7 @@ impl FleetController {
             mut backend_factory,
         } = self;
         let mut replicas: Vec<Replica> = (0..config.initial_replicas)
-            .map(|_| Replica::fresh(config.fidelity, &config.engine, backend_factory()))
+            .map(|_| Replica::fresh(config.fidelity, &config.engine, &mut backend_factory))
             .collect();
         if let Some(disagg) = config.transfer.as_ref().and_then(|t| t.disaggregation) {
             assert!(
@@ -492,10 +492,7 @@ impl FleetController {
             requests.iter().all(|r| !is_shadow(r.id)),
             "request ids must not use the reserved shadow bit"
         );
-        let plane = config
-            .transfer
-            .as_ref()
-            .map(|t| TransferPlane::new(t.topology.clone()));
+        let plane = config.transfer.as_ref().map(|t| TransferPlane::new(t.link));
         let sim = Sim {
             peak_replicas: config.initial_replicas,
             config,
@@ -1389,7 +1386,7 @@ impl Sim {
                 let fresh = new_replica(
                     self.replicas[replica].model.fidelity(),
                     &self.config.engine,
-                    (self.backend_factory)(),
+                    &mut self.backend_factory,
                 );
                 let r = &mut self.replicas[replica];
                 // Tear out everything incomplete, then swap in a cold
@@ -1525,7 +1522,7 @@ impl Sim {
     /// old model's accounting and resubmitting its incomplete requests. The
     /// handoff is cold: KV warmth does not survive the switch.
     fn switch_fidelity(&mut self, i: usize, to: Fidelity) {
-        let fresh = new_replica(to, &self.config.engine, (self.backend_factory)());
+        let fresh = new_replica(to, &self.config.engine, &mut self.backend_factory);
         let r = &mut self.replicas[i];
         let speed = r.model.speed_factor();
         let from = r.model.fidelity();
@@ -1623,9 +1620,12 @@ impl Sim {
             || (!self.ttft_window.is_empty() && rolling_ttft_ms > self.config.slo_ttft_ms);
         if want_up && routable + provisioning < a.max_replicas {
             let ready = self.now + SimDuration::from_secs_f64(a.provision_delay_s);
-            let backend = (self.backend_factory)();
-            let mut grown =
-                Replica::provisioning(self.config.fidelity, &self.config.engine, backend, ready);
+            let mut grown = Replica::provisioning(
+                self.config.fidelity,
+                &self.config.engine,
+                &mut self.backend_factory,
+                ready,
+            );
             // Disaggregated fleets grow the decode tier: decode is the
             // capacity-bound phase.
             if self

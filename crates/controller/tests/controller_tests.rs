@@ -487,13 +487,11 @@ proptest::proptest! {
 // ------------------------------------------------------------ kv movement
 
 use controller::TransferConfig;
-use kv_transfer::{FleetTopology, LinkSpec};
+use kv_transfer::LinkSpec;
 
 fn migration_config(replicas: usize, link: LinkSpec) -> ControllerConfig {
     let mut config = ControllerConfig::managed(replicas, engine_config());
-    config.transfer = Some(TransferConfig::migration(FleetTopology::uniform(
-        replicas, link,
-    )));
+    config.transfer = Some(TransferConfig::migration(link));
     config
 }
 
@@ -590,10 +588,7 @@ fn instant_links_make_migration_free_and_waitless() {
 fn disaggregated_fleet_hands_off_kv_and_completes() {
     let requests = trace(6.0, 8.0, 19);
     let mut config = ControllerConfig::managed(4, engine_config());
-    config.transfer = Some(TransferConfig::disaggregated(
-        FleetTopology::uniform(4, LinkSpec::rdma_200g()),
-        2,
-    ));
+    config.transfer = Some(TransferConfig::disaggregated(LinkSpec::rdma_200g(), 2));
     let result = FleetController::with_lazy_pat(
         config,
         Box::new(LeastOutstanding::new()),
@@ -642,9 +637,9 @@ fn transfer_runs_are_deterministic_across_threads_and_reruns() {
         sim_core::par::set_thread_override(Some(threads));
         let mut config = ControllerConfig::managed(4, engine_config());
         config.transfer = Some(if disagg {
-            TransferConfig::disaggregated(FleetTopology::uniform(4, LinkSpec::ethernet_25g()), 2)
+            TransferConfig::disaggregated(LinkSpec::ethernet_25g(), 2)
         } else {
-            TransferConfig::migration(FleetTopology::uniform(4, LinkSpec::ethernet_25g()))
+            TransferConfig::migration(LinkSpec::ethernet_25g())
         });
         let faults = FaultPlan::scripted(vec![crash(2.0, if disagg { 3 } else { 0 }, Some(3.0))]);
         let result =
@@ -718,7 +713,7 @@ fn fidelity_policy_runs_are_deterministic_across_threads_and_reruns() {
 /// and 4 worker threads and across in-process reruns.
 #[test]
 fn fleet_scale_smoke_is_thread_and_rerun_invariant() {
-    use kv_transfer::{FleetTopology, LinkSpec};
+    use kv_transfer::LinkSpec;
     use rand::SeedableRng;
     use workloads::{generate_multi_tenant_at, Burst, BurstyArrivals, DiurnalArrivals};
 
@@ -744,9 +739,7 @@ fn fleet_scale_smoke_is_thread_and_rerun_invariant() {
         sim_core::par::set_thread_override(Some(threads));
         let mut config = ControllerConfig::managed(4, engine_config());
         config.fidelity = Fidelity::Analytical;
-        config.transfer = Some(controller::TransferConfig::migration(
-            FleetTopology::uniform(4, LinkSpec::rdma_200g()),
-        ));
+        config.transfer = Some(controller::TransferConfig::migration(LinkSpec::rdma_200g()));
         let faults = FaultPlan::scripted(vec![crash(3.0, 1, Some(2.0))]);
         let result =
             FleetController::with_lazy_pat(config, Box::new(LeastOutstanding::new()), faults)

@@ -31,12 +31,10 @@ mod allocator;
 mod block;
 mod cache_manager;
 mod prefix_tree;
-mod radix;
 pub mod stats;
 
 pub use allocator::{AllocError, BlockAllocator};
 pub use block::{BlockId, BlockTable, DEFAULT_BLOCK_SIZE};
 pub use cache_manager::{chain_hashes, CacheManager, CacheStats, IngestReport, Token};
 pub use prefix_tree::{PrefixForest, PrefixNode};
-pub use radix::{RadixCache, RadixStats};
 pub use stats::BatchPrefixStats;

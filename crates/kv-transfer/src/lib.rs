@@ -15,11 +15,10 @@
 //! ## Example
 //!
 //! ```
-//! use kv_transfer::{FleetTopology, LinkSpec, TransferKind, TransferPlane};
+//! use kv_transfer::{LinkSpec, TransferKind, TransferPlane};
 //! use sim_core::SimTime;
 //!
-//! let topo = FleetTopology::uniform(4, LinkSpec::rdma_200g());
-//! let mut plane = TransferPlane::new(topo);
+//! let mut plane = TransferPlane::new(LinkSpec::rdma_200g());
 //! let t = plane.begin(SimTime::ZERO, 0, 2, 64 << 20, 4096, TransferKind::PrefixMigration);
 //! assert!(t.finish > SimTime::ZERO);
 //! ```

@@ -1,7 +1,6 @@
-//! Point-to-point link model and fleet topology.
+//! Point-to-point link model. Every replica pair of a fleet uses one link.
 
 use sim_core::SimDuration;
-use std::collections::BTreeMap;
 
 /// A directed point-to-point link between two replicas.
 ///
@@ -61,46 +60,17 @@ impl LinkSpec {
     }
 }
 
-/// Link topology of a fleet: a uniform default link with optional per-pair
-/// overrides, keyed by `(src, dst)` replica index.
-///
-/// Replica indices beyond `num_replicas` are still answered (autoscaled
-/// replicas join with the default link), so the topology never needs
-/// resizing mid-run.
-#[derive(Debug, Clone)]
-pub struct FleetTopology {
-    num_replicas: usize,
-    default_link: LinkSpec,
-    overrides: BTreeMap<(usize, usize), LinkSpec>,
-}
+/// `FleetTopology::uniform(n, link)` is `link`: a fleet's topology is the one
+/// [`LinkSpec`] every replica pair uses. Kept because the benchmark harness
+/// in `perfbench/` still spells a fleet's link this way; everything else
+/// passes the [`LinkSpec`] directly.
+#[derive(Debug)]
+pub struct FleetTopology;
 
 impl FleetTopology {
-    /// A topology where every ordered replica pair uses `link`.
-    pub fn uniform(num_replicas: usize, link: LinkSpec) -> Self {
-        FleetTopology {
-            num_replicas,
-            default_link: link,
-            overrides: BTreeMap::new(),
-        }
-    }
-
-    /// Overrides the link used for transfers from `src` to `dst`.
-    pub fn set_link(&mut self, src: usize, dst: usize, link: LinkSpec) {
-        self.overrides.insert((src, dst), link);
-    }
-
-    /// The link used for transfers from `src` to `dst`.
-    pub fn link(&self, src: usize, dst: usize) -> LinkSpec {
-        self.overrides
-            .get(&(src, dst))
-            .copied()
-            .unwrap_or(self.default_link)
-    }
-
-    /// Number of replicas the topology was declared with (informational;
-    /// higher indices fall back to the default link).
-    pub fn num_replicas(&self) -> usize {
-        self.num_replicas
+    /// Returns `link`; the replica count is not needed.
+    pub fn uniform(_num_replicas: usize, link: LinkSpec) -> LinkSpec {
+        link
     }
 }
 
@@ -129,15 +99,5 @@ mod tests {
     fn instant_link_is_free() {
         let link = LinkSpec::instant();
         assert_eq!(link.transfer_time(u64::MAX), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn overrides_shadow_the_default() {
-        let mut topo = FleetTopology::uniform(4, LinkSpec::rdma_200g());
-        topo.set_link(0, 3, LinkSpec::ethernet_25g());
-        assert_eq!(topo.link(0, 3), LinkSpec::ethernet_25g());
-        assert_eq!(topo.link(3, 0), LinkSpec::rdma_200g());
-        // Replicas beyond the declared fleet use the default link.
-        assert_eq!(topo.link(9, 12), LinkSpec::rdma_200g());
     }
 }

@@ -1,6 +1,6 @@
 //! The transfer plane: in-flight transfers serialized on per-replica NICs.
 
-use crate::link::FleetTopology;
+use crate::link::LinkSpec;
 use serde::Serialize;
 use sim_core::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -75,7 +75,7 @@ pub struct TransferStats {
 /// [`TransferPlane::complete`] when it fires.
 #[derive(Debug, Clone)]
 pub struct TransferPlane {
-    topology: FleetTopology,
+    link: LinkSpec,
     next_id: u64,
     tx_free: BTreeMap<usize, SimTime>,
     rx_free: BTreeMap<usize, SimTime>,
@@ -84,21 +84,16 @@ pub struct TransferPlane {
 }
 
 impl TransferPlane {
-    /// A plane over the given topology with all NICs idle.
-    pub fn new(topology: FleetTopology) -> Self {
+    /// A plane whose transfers all cross `link`, with all NICs idle.
+    pub fn new(link: LinkSpec) -> Self {
         TransferPlane {
-            topology,
+            link,
             next_id: 0,
             tx_free: BTreeMap::new(),
             rx_free: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             stats: TransferStats::default(),
         }
-    }
-
-    /// The topology the plane routes over.
-    pub fn topology(&self) -> &FleetTopology {
-        &self.topology
     }
 
     fn earliest_start(&self, now: SimTime, src: usize, dst: usize) -> SimTime {
@@ -112,7 +107,7 @@ impl TransferPlane {
     /// anything. Used by the migrate-vs-recompute decision.
     pub fn estimate_finish(&self, now: SimTime, src: usize, dst: usize, bytes: u64) -> SimTime {
         let start = self.earliest_start(now, src, dst);
-        start + self.topology.link(src, dst).transfer_time(bytes)
+        start + self.link.transfer_time(bytes)
     }
 
     /// Starts a transfer, reserving both NICs until its finish time, and
@@ -127,7 +122,7 @@ impl TransferPlane {
         kind: TransferKind,
     ) -> Transfer {
         let started = self.earliest_start(now, src, dst);
-        let finish = started + self.topology.link(src, dst).transfer_time(bytes);
+        let finish = started + self.link.transfer_time(bytes);
         let id = self.next_id;
         self.next_id += 1;
         let transfer = Transfer {
@@ -173,14 +168,10 @@ impl TransferPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkSpec;
 
     fn plane_1gbs() -> TransferPlane {
         // 1 GB/s, zero latency: 1 byte per ns makes arithmetic readable.
-        TransferPlane::new(FleetTopology::uniform(
-            4,
-            LinkSpec::new(SimDuration::ZERO, 1e9),
-        ))
+        TransferPlane::new(LinkSpec::new(SimDuration::ZERO, 1e9))
     }
 
     #[test]
@@ -240,7 +231,7 @@ mod tests {
 
     #[test]
     fn instant_link_finishes_at_request_time() {
-        let mut plane = TransferPlane::new(FleetTopology::uniform(2, LinkSpec::instant()));
+        let mut plane = TransferPlane::new(LinkSpec::instant());
         let t = plane.begin(
             SimTime::from_ns(77),
             0,

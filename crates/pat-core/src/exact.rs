@@ -2,10 +2,10 @@
 //!
 //! §5.1 argues that the packing search space "grows exponentially with query
 //! count and prefix lengths, so an exact solver is impractical for online
-//! serving" — hence TreeHeuristic. This module implements the exact solver
-//! anyway (for offline validation): it enumerates every per-edge
-//! split/merge assignment, scores each resulting partition with the same
-//! memory-access objective the profit model linearizes, and returns the
+//! serving" — hence TreeHeuristic. This test-only module implements the
+//! exact solver anyway, as an oracle for the heuristic: it enumerates every
+//! per-edge split/merge assignment, scores each resulting partition with the
+//! same memory-access objective the profit model linearizes, and returns the
 //! optimum. Tests confirm the linear-time heuristic stays near the
 //! exhaustive optimum — and document one structural case where the greedy
 //! per-child rule is strictly suboptimal (merging *all* children of a short

@@ -60,16 +60,6 @@ impl LazyStats {
             self.delta_hits as f64 / self.total() as f64
         }
     }
-
-    /// Fraction of decode steps that avoided a scratch forest rebuild —
-    /// unchanged-structure steps plus delta patches.
-    pub fn reuse_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            (self.hits + self.delta_hits) as f64 / self.total() as f64
-        }
-    }
 }
 
 /// A PAT scheduler that reuses its planning state across decode steps.

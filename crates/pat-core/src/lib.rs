@@ -47,13 +47,13 @@
 
 pub mod ablation;
 mod backend;
-pub mod exact;
+#[cfg(test)]
+mod exact;
 mod explain;
 mod lazy;
 mod packer;
 mod plan_state;
 mod policy;
-mod profiler;
 pub mod profit;
 mod selector;
 mod split;
@@ -69,7 +69,6 @@ pub use policy::{
     TileCacheEntry, TileContext, TilePolicy, TilePolicyKind, COMMITTED_TILE_CACHE_JSON, KV_BUCKETS,
     TILE_POLICY_ENV,
 };
-pub use profiler::{derive_n_rule, NRule};
 pub use selector::{TileError, TileSelector};
 pub use split::split_long_kv;
 pub use tiles::{TileConstraint, TileSolver, TileVerdict, TILE_GRID};

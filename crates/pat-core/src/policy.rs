@@ -285,11 +285,9 @@ fn tuned_head() -> HeadConfig {
 /// Bytes per KV element the cache is tuned for (fp16).
 const TUNED_DTYPE_BYTES: usize = 2;
 
-/// CTAs per tuning batch. Matches the offline profiler's regime
-/// ([`crate::derive_n_rule`] sweeps 192-CTA batches): the device must be
-/// oversubscribed, because the concurrency pressure that separates small
-/// from large KV tiles only exists past one wave. Underfilled batches
-/// degenerate to "largest n always wins" (each CTA's rate cap scales with
+/// CTAs per tuning batch. The device must be oversubscribed, because the
+/// concurrency pressure that separates small from large KV tiles only
+/// exists past one wave. Underfilled batches degenerate to "largest n always wins" (each CTA's rate cap scales with
 /// `n` and nothing contends for bandwidth).
 const TUNE_CTAS: usize = 192;
 

@@ -148,16 +148,14 @@ impl CalibrationTable {
     /// to the roofline); the drift test pins the committed bytes, so this
     /// path is unreachable in a healthy checkout. Parsed once per process:
     /// every analytical replica a fleet builds reads it.
-    pub fn committed() -> CalibrationTable {
+    pub fn committed() -> &'static CalibrationTable {
         static COMMITTED: OnceLock<CalibrationTable> = OnceLock::new();
-        COMMITTED
-            .get_or_init(|| {
-                serde_json::from_str(COMMITTED_JSON).unwrap_or(CalibrationTable {
-                    version: 1,
-                    entries: Vec::new(),
-                })
+        COMMITTED.get_or_init(|| {
+            serde_json::from_str(COMMITTED_JSON).unwrap_or(CalibrationTable {
+                version: 1,
+                entries: Vec::new(),
             })
-            .clone()
+        })
     }
 
     /// Finds the entry for `key`, preferring the PAT backend.

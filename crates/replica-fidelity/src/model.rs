@@ -251,16 +251,17 @@ where
 
 /// Builds a replica model of the given fidelity.
 ///
-/// `backend` plans attention for the exact fidelity; an
-/// analytical replica runs no planner and drops it (its calibration table
-/// was fitted against the PAT backend — see [`crate::calibration`]).
+/// `backend` builds the attention planner of the exact fidelity; it is
+/// called only for that fidelity. An analytical replica runs no planner
+/// (its calibration table was fitted against the PAT backend — see
+/// [`crate::calibration`]).
 pub fn new_replica(
     fidelity: Fidelity,
     config: &ServingConfig,
-    backend: Box<dyn ServingAttention>,
+    backend: impl FnOnce() -> Box<dyn ServingAttention>,
 ) -> Box<dyn ReplicaModel> {
     match fidelity {
-        Fidelity::Exact => Box::new(ExactReplica::new(config.clone(), backend)),
+        Fidelity::Exact => Box::new(ExactReplica::new(config.clone(), backend())),
         Fidelity::Analytical => Box::new(AnalyticalReplica::new(config.clone())),
     }
 }

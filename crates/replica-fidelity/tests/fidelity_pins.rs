@@ -52,7 +52,7 @@ fn trace() -> Vec<Request> {
 }
 
 fn replica(fidelity: Fidelity) -> Box<dyn ReplicaModel> {
-    new_replica(fidelity, &config(), Box::new(LazyPat::new()))
+    new_replica(fidelity, &config(), || Box::new(LazyPat::new()))
 }
 
 /// What one fidelity produced on the script: the replica that failed over,

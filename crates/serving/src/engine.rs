@@ -56,11 +56,6 @@ impl Parallelism {
     pub fn single() -> Self {
         Parallelism::default()
     }
-
-    /// Total GPUs used.
-    pub fn num_gpus(&self) -> usize {
-        self.tp * self.pp
-    }
 }
 
 /// Serving-engine configuration.

@@ -128,16 +128,6 @@ impl ModelSpec {
         }
     }
 
-    /// FFN FLOPs per token per layer (compute touches only active experts).
-    pub fn ffn_flops_per_token(&self) -> f64 {
-        match self.moe {
-            None => 2.0 * (3 * self.hidden * self.intermediate) as f64,
-            Some(moe) => {
-                2.0 * (3 * self.hidden * moe.expert_intermediate * moe.active_experts) as f64
-            }
-        }
-    }
-
     /// Total parameter count (approximate; embeddings counted once).
     pub fn total_params(&self) -> f64 {
         let per_layer = self.attn_params_per_layer() as f64

@@ -184,11 +184,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Integer multiple of the span, saturating.
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
-    }
-
     /// The larger of two spans.
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))

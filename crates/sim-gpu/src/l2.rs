@@ -3,48 +3,9 @@
 //! Redundant KV loads (the one-query-per-CTA pattern of §3.2) may be partially
 //! served by the 40 MB L2 instead of HBM. The paper's measurements (Fig. 6a)
 //! show L2 only partially hides the redundancy because the re-accessed working
-//! set exceeds L2 capacity and concurrently executing CTAs drift apart. We
-//! model this two ways:
-//!
-//! * [`L2Simulator`] replays a block-granular access sequence through an LRU
-//!   cache and reports exactly which bytes were served from L2 vs DRAM.
-//! * [`reuse_fraction`] is the closed-form footprint approximation used by the
-//!   timing fast path: a re-access hits L2 with probability
-//!   `min(1, capacity / working-set footprint)`.
-
-use std::collections::BTreeMap;
-
-/// Bytes served by each memory level for an access sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TrafficSplit {
-    /// Bytes that had to come from global memory (DRAM).
-    pub dram_bytes: f64,
-    /// Bytes served by the L2 cache.
-    pub l2_bytes: f64,
-}
-
-impl TrafficSplit {
-    /// Total bytes requested.
-    pub fn total(&self) -> f64 {
-        self.dram_bytes + self.l2_bytes
-    }
-
-    /// Fraction of requested bytes served by L2 (0 when nothing was moved).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.l2_bytes / total
-        }
-    }
-
-    /// Accumulates another split into this one.
-    pub fn merge(&mut self, other: TrafficSplit) {
-        self.dram_bytes += other.dram_bytes;
-        self.l2_bytes += other.l2_bytes;
-    }
-}
+//! set exceeds L2 capacity and concurrently executing CTAs drift apart.
+//! [`reuse_fraction`] models this in closed form: a re-access hits L2 with
+//! probability `min(1, capacity / working-set footprint)`.
 
 /// Closed-form probability that a *re-access* of previously touched data hits
 /// L2, given the working-set footprint competing for the cache.
@@ -65,181 +26,14 @@ pub fn reuse_fraction(l2_capacity_bytes: f64, footprint_bytes: f64) -> f64 {
     }
 }
 
-/// An LRU cache simulator at KV-block granularity.
-///
-/// Keys identify cache lines/blocks; each access states its size in bytes.
-/// The simulator evicts least-recently-used blocks when capacity is exceeded.
-///
-/// # Examples
-///
-/// ```
-/// use sim_gpu::l2::L2Simulator;
-///
-/// let mut l2 = L2Simulator::new(1024);
-/// assert_eq!(l2.access(1, 512.0).l2_bytes, 0.0); // cold miss
-/// assert_eq!(l2.access(1, 512.0).dram_bytes, 0.0); // hit
-/// ```
-#[derive(Debug, Clone)]
-pub struct L2Simulator {
-    capacity: u64,
-    used: u64,
-    /// block key -> (size, last-use tick). A BTreeMap so the eviction scan
-    /// iterates in key order: LRU ties (impossible today — ticks are
-    /// unique — but structurally guaranteed) resolve deterministically
-    /// (sim-lint R2).
-    resident: BTreeMap<u64, (u64, u64)>,
-    tick: u64,
-    totals: TrafficSplit,
-}
-
-impl L2Simulator {
-    /// Creates an empty cache of `capacity` bytes.
-    pub fn new(capacity: u64) -> Self {
-        L2Simulator {
-            capacity,
-            used: 0,
-            resident: BTreeMap::new(),
-            tick: 0,
-            totals: TrafficSplit::default(),
-        }
-    }
-
-    /// Accesses block `key` of `bytes` bytes, returning where it was served
-    /// from. Blocks larger than the cache bypass it entirely.
-    pub fn access(&mut self, key: u64, bytes: f64) -> TrafficSplit {
-        self.tick += 1;
-        let size = bytes.max(0.0) as u64;
-        let split = if let Some(entry) = self.resident.get_mut(&key) {
-            entry.1 = self.tick;
-            TrafficSplit {
-                dram_bytes: 0.0,
-                l2_bytes: bytes,
-            }
-        } else {
-            if size <= self.capacity {
-                while self.used + size > self.capacity {
-                    self.evict_lru();
-                }
-                self.resident.insert(key, (size, self.tick));
-                self.used += size;
-            }
-            TrafficSplit {
-                dram_bytes: bytes,
-                l2_bytes: 0.0,
-            }
-        };
-        self.totals.merge(split);
-        split
-    }
-
-    /// Cumulative traffic split over all accesses so far.
-    pub fn totals(&self) -> TrafficSplit {
-        self.totals
-    }
-
-    /// Bytes currently resident.
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn evict_lru(&mut self) {
-        let victim = self
-            .resident
-            .iter()
-            .min_by_key(|(_, (_, tick))| *tick)
-            .map(|(&k, &(size, _))| (k, size));
-        if let Some((key, size)) = victim {
-            self.resident.remove(&key);
-            self.used -= size;
-        } else {
-            // Nothing resident; avoid an infinite loop on zero capacity.
-            debug_assert_eq!(self.used, 0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn repeated_access_within_capacity_hits() {
-        let mut l2 = L2Simulator::new(10_000);
-        for round in 0..3 {
-            for key in 0..5u64 {
-                let split = l2.access(key, 1000.0);
-                if round == 0 {
-                    assert_eq!(split.dram_bytes, 1000.0);
-                } else {
-                    assert_eq!(split.l2_bytes, 1000.0);
-                }
-            }
-        }
-        let totals = l2.totals();
-        assert_eq!(totals.dram_bytes, 5000.0);
-        assert_eq!(totals.l2_bytes, 10_000.0);
-    }
-
-    #[test]
-    fn working_set_larger_than_cache_thrashes() {
-        let mut l2 = L2Simulator::new(4_000);
-        // 8 blocks of 1000 bytes cycled in LRU order always miss.
-        for _ in 0..4 {
-            for key in 0..8u64 {
-                let split = l2.access(key, 1000.0);
-                assert_eq!(split.l2_bytes, 0.0);
-            }
-        }
-        assert_eq!(l2.totals().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn oversized_block_bypasses() {
-        let mut l2 = L2Simulator::new(1_000);
-        let s1 = l2.access(7, 5_000.0);
-        let s2 = l2.access(7, 5_000.0);
-        assert_eq!(s1.dram_bytes, 5_000.0);
-        assert_eq!(s2.dram_bytes, 5_000.0);
-        assert_eq!(l2.used_bytes(), 0);
-    }
 
     #[test]
     fn reuse_fraction_clamps() {
         assert_eq!(reuse_fraction(10.0, 0.0), 1.0);
         assert_eq!(reuse_fraction(10.0, 5.0), 1.0);
         assert!((reuse_fraction(10.0, 40.0) - 0.25).abs() < 1e-12);
-    }
-
-    /// R2 regression: replaying the same access sequence twice must produce
-    /// bit-identical traffic splits and residency — eviction may not depend
-    /// on container iteration order.
-    #[test]
-    fn replay_is_deterministic_across_runs() {
-        let drive = || {
-            let mut l2 = L2Simulator::new(4_000);
-            let mut splits = Vec::new();
-            for round in 0..3u64 {
-                for key in 0..7u64 {
-                    splits.push(l2.access(key * 31 % 7, 900.0 + (round * 100) as f64));
-                }
-            }
-            (splits, l2.totals(), l2.used_bytes())
-        };
-        let a = drive();
-        let b = drive();
-        assert_eq!(a.0, b.0, "per-access split sequence must be identical");
-        assert_eq!(a.1, b.1);
-        assert_eq!(a.2, b.2);
-    }
-
-    #[test]
-    fn eviction_keeps_recently_used() {
-        let mut l2 = L2Simulator::new(2_000);
-        l2.access(1, 1000.0);
-        l2.access(2, 1000.0);
-        l2.access(1, 1000.0); // refresh 1
-        l2.access(3, 1000.0); // evicts 2
-        assert_eq!(l2.access(1, 1000.0).l2_bytes, 1000.0);
-        assert_eq!(l2.access(2, 1000.0).dram_bytes, 1000.0);
     }
 }

@@ -53,7 +53,6 @@ mod trace;
 
 pub use chrome::chrome_trace_json;
 pub use engine::{CtaWork, Engine, EngineError, KernelSpec, RunResult, StreamSpec};
-pub use l2::{L2Simulator, TrafficSplit};
 pub use memory::TransferModel;
 pub use model::{gpu_model_from_env, GpuModel, GPU_MODEL_ENV};
 pub use occupancy::{CtaResources, Occupancy, OccupancyViolation};

@@ -115,10 +115,7 @@ fn main() {
         max_outstanding_per_replica: 64,
         max_queued: 8192,
     });
-    config.transfer = Some(TransferConfig::migration(FleetTopology::uniform(
-        REPLICAS,
-        LinkSpec::rdma_200g(),
-    )));
+    config.transfer = Some(TransferConfig::migration(LinkSpec::rdma_200g()));
 
     println!(
         "{} requests over {DAY_S:.0} s on {REPLICAS} replicas at fidelity {}",

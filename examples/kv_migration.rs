@@ -91,10 +91,7 @@ fn main() {
     .run(&trace);
 
     let mut config = ControllerConfig::managed(REPLICAS, engine);
-    config.transfer = Some(TransferConfig::migration(FleetTopology::uniform(
-        REPLICAS,
-        LinkSpec::rdma_200g(),
-    )));
+    config.transfer = Some(TransferConfig::migration(LinkSpec::rdma_200g()));
     let migrated =
         FleetController::with_lazy_pat(config, Box::new(LeastOutstanding::new()), faults())
             .run(&trace);

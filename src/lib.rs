@@ -79,7 +79,7 @@ pub mod prelude {
         FleetController, FleetRow, TransferConfig,
     };
     pub use kv_cache::{BlockId, BlockTable, CacheManager, PrefixForest};
-    pub use kv_transfer::{FleetTopology, LinkSpec, TransferPlane};
+    pub use kv_transfer::{LinkSpec, TransferPlane};
     pub use pat_core::{
         tile_policy_from_env, AutotunedPolicy, HeuristicPolicy, LazyPat, PatBackend, PatConfig,
         TileCache, TileContext, TileError, TilePolicy, TilePolicyKind, TileSelector, TileSolver,

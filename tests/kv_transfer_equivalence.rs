@@ -6,7 +6,7 @@
 //! that equivalence at the engine level (ingest == warm cache, bit for
 //! bit) and the link-model level (an instant link is a free warm cache).
 
-use kv_transfer::{FleetTopology, LinkSpec};
+use kv_transfer::LinkSpec;
 use pat_core::LazyPat;
 use serving::{ModelSpec, RequestMetrics, ServingConfig, ServingEngine, StepOutcome};
 use sim_core::{SimDuration, SimTime};
@@ -116,8 +116,7 @@ fn instant_link_transfers_any_payload_in_zero_time() {
     for bytes in [0u64, 1, 1 << 20, u64::MAX] {
         assert_eq!(link.transfer_time(bytes), SimDuration::ZERO);
     }
-    let topo = FleetTopology::uniform(4, link);
-    let mut plane = kv_transfer::TransferPlane::new(topo);
+    let mut plane = kv_transfer::TransferPlane::new(link);
     let now = SimTime::from_secs_f64(3.5);
     // Back-to-back giant transfers through one NIC pair: no latency, no
     // serialization delay, no NIC wait.
